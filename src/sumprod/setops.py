@@ -2,13 +2,15 @@
 intersections, simultaneous-coset fiber sets, and pair counts over G x G.
 
 Everything here is full enumeration — no sampling, no probabilistic
-shortcuts.  numpy carries the bulk work in fixed-size chunks; primes at or
-above 2^31 (where int64 products could overflow) drop to plain Python
-loops.  Budgets cap the number of evaluated pairs, not the answer.
+shortcuts.  numpy carries the bulk work in fixed-size chunks on one path
+for every prime; only the dtype depends on p: uint64 below 2^32, where every
+product plus a residue, (p-1)^2 + (p-1), fits, and object (Python ints) from
+2^32 up.  Sets are deduplicated by sorting.  Budgets cap pairs, not answers.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -28,7 +30,6 @@ from .subgroup import Coset, Subgroup
 
 DEFAULT_MAX_PAIRS = 10**8
 _CHUNK = 1 << 22
-_NUMPY_PRIME_LIMIT = 1 << 31  # int64 holds (p-1)^2 only below this
 
 
 @dataclass(frozen=True)
@@ -55,14 +56,8 @@ class ValueSet:
         return iter(self.members)
 
     def __contains__(self, v: int) -> bool:
-        lo, hi = 0, len(self.members)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.members[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(self.members) and self.members[lo] == v
+        i = bisect_left(self.members, v)
+        return i < len(self.members) and self.members[i] == v
 
 
 def value_set(prime: Prime, values: Iterable[int]) -> ValueSet:
@@ -90,6 +85,28 @@ def _same_prime(*objs) -> Prime:
     return objs[0].prime
 
 
+def _trusted_value_set(prime: Prime, arr: np.ndarray) -> ValueSet:
+    """ValueSet from an ascending, duplicate-free residue array, not re-validated."""
+    vs = object.__new__(ValueSet)
+    object.__setattr__(vs, "prime", prime)
+    object.__setattr__(vs, "members", tuple(arr.tolist()))
+    return vs
+
+
+def _dtype(p: int):
+    return np.uint64 if p < 1 << 32 else object
+
+
+def _distinct(chunks: Iterable[np.ndarray]) -> np.ndarray:
+    """Distinct entries of all chunks, ascending, by sorting; each chunk is
+    thinned as it arrives, so memory follows the answer, not the pair count."""
+    parts = []
+    for c in chunks:
+        v = np.sort(c, axis=None)
+        parts.append(np.concatenate((v[:1], v[1:][v[1:] != v[:-1]])))
+    return parts[0] if len(parts) == 1 else _distinct([np.concatenate(parts)])
+
+
 def _pow_table(arr: np.ndarray, max_exp: int, p: int) -> list[np.ndarray]:
     """[arr^0, arr^1, ..., arr^max_exp] reduced mod p."""
     out = [np.ones_like(arr)]
@@ -99,21 +116,22 @@ def _pow_table(arr: np.ndarray, max_exp: int, p: int) -> list[np.ndarray]:
 
 
 def _eval_grid(P: BiPoly, ablock: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """P(a, b) over the outer grid ablock x b, as an int64 matrix mod p."""
-    apw = _pow_table(ablock, P.deg_x, p)
-    bpw = _pow_table(b, P.deg_y, p)
-    acc = np.zeros((len(ablock), len(b)), dtype=np.int64)
+    """P(a, b) over the outer grid ablock x b, mod p, in the inputs' dtype."""
+    apw = _pow_table(ablock, max(P.deg_x, 0), p)
+    bpw = _pow_table(b, max(P.deg_y, 0), p)
+    acc = np.zeros((len(ablock), len(b)), dtype=ablock.dtype)
     for (i, j), c in P.coeffs.items():
         acc = (acc + c * (apw[i][:, None] * bpw[j][None, :] % p)) % p
     return acc
 
 
-def _grid_blocks(avals: Sequence[int], bvals: Sequence[int]):
+def _grid_blocks(avals: Sequence[int], bvals: Sequence[int], p: int):
     """Yield (a-block, b-array) pairs covering the full grid, <= _CHUNK cells each."""
-    b = np.asarray(bvals, dtype=np.int64)
+    dtype = _dtype(p)
+    b = np.asarray(bvals, dtype=dtype)
     rows = max(1, _CHUNK // max(1, len(b)))
-    a = np.asarray(avals, dtype=np.int64)
-    for start in range(0, len(a), rows):
+    a = np.asarray(avals, dtype=dtype)
+    for start in range(0, max(1, len(a)), rows):  # empty avals: one empty block
         yield a[start : start + rows], b
 
 
@@ -126,12 +144,8 @@ def image(P: BiPoly, A: ValueSet, B: ValueSet, *, max_pairs: int = DEFAULT_MAX_P
     if n_pairs > max_pairs:
         raise SizeBudget(f"|A|*|B| = {n_pairs} exceeds budget {max_pairs}")
     p = prime.p
-    if p >= _NUMPY_PRIME_LIMIT:
-        return ValueSet(prime, tuple(sorted({P.eval(a, b) for a in A for b in B})))
-    seen: set[int] = set()
-    for ablock, b in _grid_blocks(A.members, B.members):
-        seen.update(np.unique(_eval_grid(P, ablock, b, p)).tolist())
-    return ValueSet(prime, tuple(sorted(seen)))
+    grids = (_eval_grid(P, ablock, b, p) for ablock, b in _grid_blocks(A.members, B.members, p))
+    return _trusted_value_set(prime, _distinct(grids))
 
 
 def sumset(A: ValueSet, B: ValueSet, sign: int = 1) -> ValueSet:
@@ -140,13 +154,10 @@ def sumset(A: ValueSet, B: ValueSet, sign: int = 1) -> ValueSet:
         raise ValueError("sign must be +1 or -1")
     prime = _same_prime(A, B)
     p = prime.p
-    if p >= _NUMPY_PRIME_LIMIT:
-        return ValueSet(prime, tuple(sorted({(a + sign * b) % p for a in A for b in B})))
-    seen: set[int] = set()
-    for ablock, b in _grid_blocks(A.members, B.members):
-        grid = (ablock[:, None] + sign * b[None, :]) % p
-        seen.update(np.unique(grid).tolist())
-    return ValueSet(prime, tuple(sorted(seen)))
+    # a - b is a + (p - b): no negative operand, which uint64 cannot hold
+    bvals = B.members if sign == 1 else [(p - v) % p for v in B.members]
+    grids = ((ablock[:, None] + b[None, :]) % p for ablock, b in _grid_blocks(A.members, bvals, p))
+    return _trusted_value_set(prime, _distinct(grids))
 
 
 def shift_intersection(G: Subgroup, mu: int) -> int:
@@ -168,14 +179,12 @@ def fiber_set(fs: Sequence[UniPoly], cosets: Sequence[Coset]) -> ValueSet:
         raise ValueError(f"mixed primes {sorted(primes)}")
     p = primes.pop()
     prime = cosets[0].prime
-    if p >= _NUMPY_PRIME_LIMIT:
-        hits = [x for x in range(p) if all(f(x) in c for f, c in zip(fs, cosets))]
-        return ValueSet(prime, tuple(hits))
+    dtype = _dtype(p)
     dense = [f.dense() for f in fs]
-    member_arrs = [np.asarray(c.members, dtype=np.int64) for c in cosets]
-    hits: list[int] = []
+    member_arrs = [np.asarray(c.members, dtype=dtype) for c in cosets]
+    hits: list[np.ndarray] = []
     for start in range(0, p, _CHUNK):
-        xs = np.arange(start, min(start + _CHUNK, p), dtype=np.int64)
+        xs = np.arange(start, min(start + _CHUNK, p), dtype=dtype)
         mask = np.ones(len(xs), dtype=bool)
         for coeffs, members in zip(dense, member_arrs):
             vals = np.zeros_like(xs)
@@ -186,8 +195,8 @@ def fiber_set(fs: Sequence[UniPoly], cosets: Sequence[Coset]) -> ValueSet:
             mask &= members[idx] == vals
             if not mask.any():
                 break
-        hits.extend(xs[mask].tolist())
-    return ValueSet(prime, tuple(hits))
+        hits.append(xs[mask])
+    return _trusted_value_set(prime, np.concatenate(hits))
 
 
 def count_zero_pairs(P: BiPoly, G: Subgroup, *, max_pairs: int = DEFAULT_MAX_PAIRS) -> int:
@@ -211,10 +220,8 @@ def count_zero_pairs(P: BiPoly, G: Subgroup, *, max_pairs: int = DEFAULT_MAX_PAI
     n_pairs = G.order * G.order
     if n_pairs > max_pairs:
         raise SizeBudget(f"|G|^2 = {n_pairs} exceeds budget {max_pairs}")
-    if p >= _NUMPY_PRIME_LIMIT:
-        return sum(1 for a in G.elements for b in G.elements if P.eval(a, b) == 0)
     count = 0
-    for ablock, b in _grid_blocks(G.elements, G.elements):
+    for ablock, b in _grid_blocks(G.elements, G.elements, p):
         count += int((_eval_grid(P, ablock, b, p) == 0).sum())
     return count
 
@@ -244,21 +251,14 @@ def count_level_pairs(
             raise CosetCollision(f"levels {reps[rep]} and {a} share the coset of {rep}")
         reps[rep] = a
     p = G.p
-    per_level = {a: 0 for a in alphas.members}
     n_pairs = G.order * G.order
     if n_pairs > max_pairs:
         raise SizeBudget(f"|G|^2 = {n_pairs} exceeds budget {max_pairs}")
-    if p >= _NUMPY_PRIME_LIMIT:
-        target = set(alphas.members)
-        for a in G.elements:
-            for b in G.elements:
-                v = P.eval(a, b)
-                if v in target:
-                    per_level[v] += 1
-        return PairCount(sum(per_level.values()), per_level)
-    levels = np.asarray(alphas.members, dtype=np.int64)
+    if not alphas.members:
+        return PairCount(0, {})
+    levels = np.asarray(alphas.members, dtype=_dtype(p))
     tallies = np.zeros(len(levels), dtype=np.int64)
-    for ablock, b in _grid_blocks(G.elements, G.elements):
+    for ablock, b in _grid_blocks(G.elements, G.elements, p):
         vals = _eval_grid(P, ablock, b, p).ravel()
         idx = np.searchsorted(levels, vals)
         idx = np.minimum(idx, len(levels) - 1)

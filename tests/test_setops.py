@@ -14,6 +14,7 @@ from sumprod.errors import (
 from sumprod.field import make_prime
 from sumprod.poly import UniPoly, parse_bipoly
 from sumprod.setops import (
+    _CHUNK,
     PairCount,
     ValueSet,
     count_level_pairs,
@@ -41,6 +42,10 @@ def brute_image(P, avals, bvals, p):
 def test_image_example():
     out = image(parse_bipoly("x+y", P13), VG, VG)
     assert out.members == (2, 4, 5, 6, 10, 12)
+    assert image(parse_bipoly("0", P13), VG, VG).members == (0,)
+    empty = value_set(P13, [])
+    assert image(parse_bipoly("x+y", P13), empty, VG).members == ()
+    assert sumset(VG, empty, sign=-1).members == sumset(empty, VG).members == ()
 
 
 def test_image_equals_sumset_for_addition():
@@ -102,7 +107,7 @@ def test_image_against_nested_loop_oracle():
 
 
 def test_image_big_prime_python_fallback():
-    # above the int64-safe limit the pure-Python path must take over seamlessly
+    # 2^31 < p < 2^32: the uint64 kernel, not a Python fallback, must match brute force
     p = 2147483659
     prime = make_prime(p)
     A = value_set(prime, [1, 2, p - 1])
@@ -232,6 +237,7 @@ def test_level_pair_examples():
     pc = count_level_pairs(P, G3, value_set(P13, [2, 7]))
     assert pc.per_level == {2: 1, 7: 0}
     assert pc.total == 1
+    assert count_level_pairs(P, G3, value_set(P13, [])) == PairCount(0, {})
 
 
 def test_level_pair_validation():
@@ -269,3 +275,70 @@ def test_value_set_validation():
     with pytest.raises(ValueError):
         ValueSet(P13, (3, 1))
     assert 3 in v and 4 not in v
+
+
+# --- the uint64 / object boundary and multi-chunk grids -------------------------
+
+
+# p - 1 and p - 2 push uint64 to (p-1)^2 + (p-1) on the largest prime below
+# 2^32; the smallest prime above it runs the same kernel on object arrays.
+BOUNDARY_PRIMES = (4294967291, 4294967311)
+
+
+def _boundary_sets(p):
+    prime = make_prime(p)
+    A = value_set(prime, [0, 1, 2, 3, p // 2, p - 3, p - 2, p - 1])
+    B = value_set(prime, [1, 5, p // 3, p - 2, p - 1])
+    return prime, A, B
+
+
+def _all_int(vs):
+    return all(type(m) is int for m in vs.members)
+
+
+@pytest.mark.parametrize("p", BOUNDARY_PRIMES)
+def test_image_sumset_parity_at_uint64_boundary(p):
+    prime, A, B = _boundary_sets(p)
+    P = parse_bipoly("x^3+7*y^2+x*y+5", prime)
+    got = image(P, A, B)
+    assert list(got.members) == brute_image(P, A.members, B.members, p)
+    assert _all_int(got)
+    for sign in (1, -1):
+        s = sumset(A, B, sign=sign)
+        assert list(s.members) == sorted({(a + sign * b) % p for a in A for b in B})
+        assert _all_int(s)
+
+
+@pytest.mark.parametrize("p", BOUNDARY_PRIMES)
+def test_pair_counts_parity_at_uint64_boundary(p):
+    prime = make_prime(p)
+    G = subgroup_of_order(prime, 10)
+    assert p - 1 in G.elements
+    for text in ("x*y+%d" % (p - 1), "x^2+%d*y" % (p - 1), "x^3+7*y^2+x*y+5"):
+        P = parse_bipoly(text, prime)
+        assert count_zero_pairs(P, G) == brute_zero_pairs(P, G), (p, text)
+    P = parse_bipoly("x^3+7*y^2+x*y+5", prime)
+    # nonzero levels in distinct cosets (v^|G| names v's coset), p-1 and p-2 first
+    levels: dict[int, int] = {}
+    for v in [p - 1, p - 2] + [P.eval(a, b) for a in G.elements for b in G.elements]:
+        if v:
+            levels.setdefault(pow(v, G.order, p), v)
+    alphas = list(levels.values())[:6]
+    pc = count_level_pairs(P, G, value_set(prime, alphas))
+    assert pc.per_level == brute_level(P, G, alphas)
+    assert all(type(a) is int and type(t) is int for a, t in pc.per_level.items())
+
+
+@pytest.mark.parametrize("text", ["x", "x*y", "x^2*y"])
+def test_image_across_chunks_is_the_subgroup(text):
+    # |G|^2 > _CHUNK, so the grid spans several blocks; G is closed under
+    # multiplication, so every image is exactly G.  Under "x" each block of
+    # a-rows yields different values, so the blocks must be merged.
+    p, order = 4201, 2100
+    assert order * order > _CHUNK
+    prime = make_prime(p)
+    G = subgroup_of_order(prime, order)
+    VG2 = value_set(prime, G.elements)
+    got = image(parse_bipoly(text, prime), VG2, VG2)
+    assert got.members == G.elements
+    assert _all_int(got)
