@@ -4,8 +4,10 @@ Primes are certified at construction (deterministic Miller-Rabin, valid for
 the whole supported 64-bit range), so everything downstream may assume
 primality without re-checking.  Extension fields are table-driven: elements
 are integer codes 0..p^d-1 encoding coefficient vectors in base p, with
-exp/log tables for multiplication.  That keeps the exhaustive factor search
-in `poly` to a few array lookups per candidate.
+exp/log tables for multiplication and digit-wise addition.  Each field also
+carries numpy tables of the base-p digits of x^k and of the F_p-linear maps
+"multiply by x^k" at every code x (k <= 4), so the exhaustive factor search
+in `poly` evaluates all candidates of one field in a few array operations.
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
+import numpy as np
+
 from .errors import BudgetExceeded, CompositeInput, ZeroInverse
 
 MAX_PRIME = 2**64 - 1
 DLOG_TABLE_LIMIT = 1 << 22
 EXT_ELEMENT_BUDGET = 1 << 17
-_EXT_ADD_TABLE_LIMIT = 1 << 10
+_TABLE_POWERS = 5  # x^0 .. x^4: enough for forms of total degree <= 4
 
 # Deterministic witness set: correct for every n < 3.3 * 10^24 (covers 64 bits).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -318,7 +322,13 @@ class ExtField:
     The reducing modulus is the lexicographically smallest monic irreducible
     of degree d, coefficients compared low degree first, so the field is a
     deterministic function of (p, d).  Multiplication runs on exp/log tables;
-    addition uses a q*q table when q is small and digit arithmetic otherwise.
+    addition works on base-p digits.
+
+    Two numpy tables serve batched evaluation, for k <= 4:
+    `power_digits[k, :, x]` holds the d digits of x^k, and
+    `power_matrices[x, :, k, :]` is the d*d matrix over F_p of multiplication
+    by x^k on digit vectors (column e is x^k * t^e, t the generator of the
+    power basis).  Entries lie in [0, p).
     """
 
     def __init__(self, prime: Prime, d: int, budget: int = EXT_ELEMENT_BUDGET):
@@ -376,7 +386,6 @@ class ExtField:
     def _build_tables(self):
         p, q = self.p, self.q
         if self.d == 1:
-            self._add_rows = None
             g = _primitive_root_int(p)
             exp = [1] * (q - 1)
             for k in range(1, q - 1):
@@ -403,32 +412,38 @@ class ExtField:
             exp = [1] * (q - 1)
             for k in range(1, q - 1):
                 exp[k] = self._mul_coeffwise(exp[k - 1], g)
-            if q <= _EXT_ADD_TABLE_LIMIT:
-                rows = []
-                for a in range(q):
-                    da = self.coeffs_of(a)
-                    row = [0] * q
-                    for b in range(q):
-                        db = self.coeffs_of(b)
-                        row[b] = self.code_of([(x + y) % p for x, y in zip(da, db)])
-                    rows.append(row)
-                self._add_rows = rows
-            else:
-                self._add_rows = None
         log = [-1] * q
         for k, v in enumerate(exp):
             log[v] = k
         self.gen = exp[1] if q > 2 else 1
         self.exp = exp
         self.log = log
+        self._build_power_tables()
+
+    def _build_power_tables(self):
+        p, q, d = self.p, self.q, self.d
+        exp = np.array(self.exp, dtype=np.int64)
+        log = np.array(self.log, dtype=np.int64)
+
+        def times(a, b):  # elementwise product of code arrays
+            prod = exp[(log[a] + log[b]) % (q - 1)]
+            return np.where((a != 0) & (b != 0), prod, 0)
+
+        place = p ** np.arange(d, dtype=np.int64)  # code of t^e, also digit weights
+        powers = np.ones((_TABLE_POWERS, q), dtype=np.int64)
+        codes = np.arange(q, dtype=np.int64)
+        for k in range(1, _TABLE_POWERS):
+            powers[k] = times(powers[k - 1], codes)
+        self.power_digits = powers[:, None, :] // place[:, None] % p  # [k, r, x]
+        images = times(powers[:, :, None], place)  # [k, x, e]: code of x^k * t^e
+        digits = images[:, :, :, None] // place % p  # [k, x, e, r]
+        self.power_matrices = np.ascontiguousarray(digits.transpose(1, 3, 0, 2))  # [x, r, k, e]
 
     # -- arithmetic on codes --------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         if self.d == 1:
             return (a + b) % self.p
-        if self._add_rows is not None:
-            return self._add_rows[a][b]
         p = self.p
         out, mult = 0, 1
         for _ in range(self.d):
@@ -471,72 +486,8 @@ class ExtField:
             return 0
         return self.exp[self.log[a] * e % (self.q - 1)]
 
-    def eval_dense(self, coeffs: list[int], x: int) -> int:
-        """Horner evaluation of a dense code-coefficient list (low first)."""
-        acc = 0
-        for c in reversed(coeffs):
-            acc = self.add(self.mul(acc, x), c)
-        return acc
-
-    # -- public element view ---------------------------------------------
-
-    def element(self, coeffs) -> "ExtFieldElement":
-        return ExtFieldElement(self, self.code_of(coeffs))
-
-    def from_code(self, code: int) -> "ExtFieldElement":
-        if not 0 <= code < self.q:
-            raise ValueError("code out of range")
-        return ExtFieldElement(self, code)
-
-    def elements(self):
-        for code in range(self.q):
-            yield ExtFieldElement(self, code)
-
     def __repr__(self) -> str:
         return f"ExtField(p={self.p}, d={self.d})"
-
-
-@dataclass(frozen=True)
-class ExtFieldElement:
-    """A wrapped extension-field element; arithmetic defers to its field."""
-
-    ext: ExtField
-    code: int
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.ext.coeffs_of(self.code)
-
-    def _check(self, other: "ExtFieldElement"):
-        if other.ext is not self.ext:
-            raise ValueError("elements of different fields")
-
-    def __add__(self, other: "ExtFieldElement"):
-        self._check(other)
-        return ExtFieldElement(self.ext, self.ext.add(self.code, other.code))
-
-    def __sub__(self, other: "ExtFieldElement"):
-        self._check(other)
-        return ExtFieldElement(self.ext, self.ext.sub(self.code, other.code))
-
-    def __mul__(self, other: "ExtFieldElement"):
-        self._check(other)
-        return ExtFieldElement(self.ext, self.ext.mul(self.code, other.code))
-
-    def __neg__(self):
-        return ExtFieldElement(self.ext, self.ext.neg(self.code))
-
-    def __pow__(self, e: int):
-        return ExtFieldElement(self.ext, self.ext.pow(self.code, e))
-
-    def inverse(self) -> "ExtFieldElement":
-        return ExtFieldElement(self.ext, self.ext.inv(self.code))
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def __repr__(self) -> str:
-        return f"ExtFieldElement{self.coeffs} (p={self.ext.p}, d={self.ext.d})"
 
 
 @lru_cache(maxsize=64)

@@ -15,16 +15,22 @@ h(x, y) - alpha stays irreducible over the algebraic closure:
   h(t, 1), which needs deg h < p.
 * `factor_oracle` knows nothing about that criterion: it enumerates every
   normalized candidate divisor with coefficients in F_{p^d}, d <= d_max, and
-  tests divisibility.  The two routes are cross-checked exhaustively in the
-  test suite and must never be merged.
+  tests divisibility.  Linear candidates are evaluated all at once per field:
+  numpy matmuls over the field's digit tables (`ExtField.power_digits`,
+  `ExtField.power_matrices`) settle every code, reduced mod p.  Quadratic
+  candidates (quartics only) are still tested one at a time on field codes,
+  whose addition always runs on base-p digits.  The two routes are
+  cross-checked exhaustively in the test suite and must never be merged.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, inf
+from math import comb, gcd, inf
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .errors import (
     BudgetExceeded,
@@ -670,67 +676,46 @@ def abs_irreducible_shift(h: BiPoly, alpha: int, *, ext_budget: int = EXT_ELEMEN
 DEFAULT_QUAD_CANDIDATES = 2_000_000
 
 
-def _dense_codes(poly: UniPoly) -> list[int]:
-    return poly.dense()
-
-
 def _linear_factor_exists(Q: BiPoly, F: ExtField) -> bool:
     """Any total-degree-1 divisor of Q with coefficients in F?
 
-    Candidates are normalized: x - (b*y + c), or y - c.  A divisor of the
-    first kind forces Q(c, 0) = 0 and of the second kind Q(0, c) = 0, so only
-    roots of the axis restrictions are paired with a full substitution check.
-    Axis restrictions are nonzero here: divisibility by x or y is handled by
-    the caller before normalization.
+    Candidates are normalized: y - c, or x - (b*y + g).  Every candidate is
+    tested, batched over all codes of F on its digit tables.  Each matmul
+    entry sums at most 5*d products of residues below p, so int64 stays exact
+    for every field whose tables fit in memory:
+
+    * y - c divides Q iff every x-coefficient row sum_j c_ij y^j vanishes
+      at c, evaluated at all c at once;
+    * x - (b*y + g) divides Q iff Q(b*y + g, y) = 0, which forces
+      Q(g, 0) = 0.  For each root g, Q(b*y + g, y) = sum_t y^t sum_k b^k
+      A_tk(g) with A_tk(g) = sum_i c_{i,t-k} binom(i, k) g^(i-k); one matmul
+      over the multiplication-by-b^k matrices evaluates it for every b.
+
+    Q(x, 0) is nonzero here: divisibility by y is handled by the caller.
     """
-    q = F.q
-    exp, log, qm1 = F.exp, F.log, F.q - 1
-    add = F.add
-
-    # dense axis restrictions, coefficients are base-field codes
-    U = _dense_codes(Q.axis_x())
-    V = _dense_codes(Q.axis_y())
-
-    # dense y-coefficient lists per x-power for the substitution Horner
-    kx = Q.deg_x
-    ly = Q.deg_y
-    rows: list[list[int]] = [[0] * (ly + 1) for _ in range(kx + 1)]
+    p, q, d, n = F.p, F.q, F.d, Q.total_degree
+    pows = F.power_digits[: n + 1]  # [m, r, x]: digits of x^m
+    C = [[0] * (n + 1) for _ in range(n + 2)]  # C[i][j] = c_ij; row n+1: Q(x, 0)
     for (i, j), c in Q.coeffs.items():
-        rows[i][j] = c
+        C[i][j] = c
+        if j == 0:
+            C[n + 1][i] = c
+    vals = (np.array(C) @ pows.reshape(n + 1, d * q) % p).reshape(n + 2, d, q)
+    if not vals[: n + 1].reshape(-1, q).any(axis=0).all():
+        return True  # every row vanishes at some c
+    roots = np.flatnonzero(~vals[n + 1].any(axis=0))
+    if roots.size == 0:
+        return False
 
-    def subst_is_zero(beta: int, gamma: int) -> bool:
-        # Q(beta*y + gamma, y) == 0 ?
-        acc = rows[kx][:]
-        for i in range(kx - 1, -1, -1):
-            nxt = [0] * (ly + kx - i + 1)
-            for t, c in enumerate(acc):
-                if c:
-                    lc = log[c]
-                    if beta:
-                        nxt[t + 1] = add(nxt[t + 1], exp[(lc + log[beta]) % qm1])
-                    if gamma:
-                        nxt[t] = add(nxt[t], exp[(lc + log[gamma]) % qm1])
-            row = rows[i]
-            for t, c in enumerate(row):
-                if c:
-                    nxt[t] = add(nxt[t], c)
-            acc = nxt
-        return not any(acc)
-
-    for gamma in range(q):
-        if F.eval_dense(U, gamma) == 0:
-            for beta in range(q):
-                if subst_is_zero(beta, gamma):
-                    return True
-    for c in range(q):
-        if F.eval_dense(V, c) == 0:
-            # y - c divides Q iff every x-coefficient polynomial vanishes at c
-            for i in range(kx + 1):
-                if F.eval_dense(rows[i], c) != 0:
-                    break
-            else:
-                return True
-    return False
+    B = np.zeros((n + 1, n + 1, n + 1), dtype=np.int64)  # B[t, k, i - k]: terms of A_tk
+    for (i, j), c in Q.coeffs.items():
+        for k in range(i + 1):
+            B[j + k, k, i - k] += c * comb(i, k)
+    A = B.reshape(-1, n + 1) % p @ pows[:, :, roots].reshape(n + 1, -1) % p  # [(t, k), (e, g)]
+    A = A.reshape(n + 1, n + 1, d, -1).transpose(1, 2, 3, 0).reshape((n + 1) * d, -1)
+    W = F.power_matrices.reshape(q * d, -1)[:, : (n + 1) * d]  # rows (b, r), columns (k, e)
+    vals = (W @ A % p).reshape(q, d, roots.size, n + 1).transpose(0, 2, 1, 3)  # [b, g, r, t]
+    return not vals.reshape(q * roots.size, -1).any(axis=1).all()
 
 
 _GLEX_LEADS = (

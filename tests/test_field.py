@@ -115,7 +115,11 @@ def test_ext_field_nine():
     F = ext_field(3, 2)
     assert F.q == 9
     assert F.modulus == (1, 0, 1)
-    assert len(list(F.elements())) == 9
+    for code in range(9):
+        coeffs = F.coeffs_of(code)
+        assert len(coeffs) == 2 and all(0 <= c < 3 for c in coeffs)
+        assert F.code_of(coeffs) == code
+    assert len({F.coeffs_of(code) for code in range(9)}) == 9
 
 
 def test_ext_field_nine_axioms_exhaustive():
@@ -153,8 +157,8 @@ def test_ext_field_125_sampled_axioms(data):
 
 
 def test_ext_field_large_add_path():
-    # q = 37^2 = 1369 exceeds the dense add-table limit, so addition runs
-    # on base-p digits; spot-check against manual digit arithmetic
+    # every d >= 2 field adds on base-p digits; spot-check q = 37^2 = 1369
+    # against manual digit arithmetic
     F = ext_field(37, 2)
     assert F.q == 1369
     a, b = 38, 75  # codes (1,1) and (1,2): (x+1) + (2x+1)... base-37 digits
@@ -162,6 +166,22 @@ def test_ext_field_large_add_path():
     db = [b % 37, b // 37]
     expect = (da[0] + db[0]) % 37 + 37 * ((da[1] + db[1]) % 37)
     assert F.add(a, b) == expect
+
+
+@pytest.mark.parametrize("p, d", [(3, 2), (5, 3), (13, 1)])
+def test_ext_field_power_tables(p, d):
+    F = ext_field(p, d)
+    assert F.power_digits.shape == (5, d, F.q)
+    assert F.power_matrices.shape == (F.q, d, 5, d)
+    ys = range(0, F.q, max(1, F.q // 17))
+    for x in range(F.q):
+        for k in range(5):
+            xk = F.pow(x, k)
+            assert tuple(F.power_digits[k, :, x]) == F.coeffs_of(xk)
+            M = F.power_matrices[x, :, k, :]
+            for y in ys:
+                digits = M @ F.coeffs_of(y) % p
+                assert tuple(int(v) for v in digits) == F.coeffs_of(F.mul(xk, y))
 
 
 def test_ext_field_budget():

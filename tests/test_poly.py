@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sumprod.errors import (
     DegreeOverflow,
@@ -9,10 +9,11 @@ from sumprod.errors import (
     ZeroPolynomial,
     ZeroShift,
 )
-from sumprod.field import make_prime
+from sumprod.field import ext_field, make_prime
 from sumprod.poly import (
     BiPoly,
     UniPoly,
+    _linear_factor_exists,
     abs_irreducible_shift,
     factor_oracle,
     is_good,
@@ -27,6 +28,7 @@ from sumprod.poly import (
 
 P13 = make_prime(13)
 P5 = make_prime(5)
+P3 = make_prime(3)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -266,6 +268,138 @@ def test_factor_oracle_examples():
     assert factor_oracle(parse_bipoly("x^2+y^2+4", P5), 2) is False
     with pytest.raises(ValueError):
         factor_oracle(parse_bipoly("(x+y)^5", P13), 3)  # degree above oracle range
+
+
+def test_factor_oracle_quartic_needs_quadratic_search():
+    # (x^2+y^2)^2 - 1 = (x^2+y^2-1)(x^2+y^2+1): two smooth conics, so no
+    # linear divisor exists and only the quadratic search can find a factor
+    Q = parse_bipoly("(x^2+y^2)^2-1", P3)
+    assert not any(_linear_factor_exists(Q, ext_field(3, d)) for d in (1, 2))
+    assert factor_oracle(Q, 2) is True
+
+
+def test_factor_oracle_irreducible_quartic_shift():
+    # the Fermat quartic x^4 + y^4 = 1 is smooth in characteristic 3
+    assert factor_oracle(parse_bipoly("x^4+y^4-1", P3), 2) is False
+
+
+def test_abs_irreducible_shift_quartic_at_p3():
+    # degree 4 >= p = 3 routes to the factor search
+    assert abs_irreducible_shift(parse_bipoly("(x^2+y^2)^2", P3), 1) is False
+    assert abs_irreducible_shift(parse_bipoly("x^4+y^4", P3), 1) is True
+
+
+def _ref_linear_factor_exists(Q, F):
+    """Plain nested-loop search for a divisor y - c or x - (b*y + g) over F."""
+    n = Q.total_degree
+    coeffs = [((i, j), F.embed(c)) for (i, j), c in Q.coeffs.items()]
+
+    def power(a, e):
+        acc = 1
+        for _ in range(e):
+            acc = F.mul(acc, a)
+        return acc
+
+    for c in range(F.q):
+        # y - c divides Q iff Q(x, c) = 0: every coefficient of x^i vanishes
+        row = [0] * (n + 1)
+        for (i, j), a in coeffs:
+            row[i] = F.add(row[i], F.mul(a, power(c, j)))
+        if not any(row):
+            return True
+    for g in range(F.q):
+        # the y^0 coefficient of Q(b*y + g, y) is Q(g, 0) for every b
+        at_g = 0
+        for (i, j), a in coeffs:
+            if j == 0:
+                at_g = F.add(at_g, F.mul(a, power(g, i)))
+        if at_g:
+            continue
+        for b in range(F.q):
+            # expand Q(b*y + g, y) as a list of y-coefficients
+            total = [0] * (n + 1)
+            for (i, j), a in coeffs:
+                term = [a]  # a * (b*y + g)^i, low degree first
+                for _ in range(i):
+                    nxt = [0] * (len(term) + 1)
+                    for t, v in enumerate(term):
+                        nxt[t] = F.add(nxt[t], F.mul(v, g))
+                        nxt[t + 1] = F.add(nxt[t + 1], F.mul(v, b))
+                    term = nxt
+                for t, v in enumerate(term):
+                    total[t + j] = F.add(total[t + j], v)
+            if not any(total):
+                return True
+    return False
+
+
+@st.composite
+def small_field_poly(draw):
+    """(Q, p, d) with Q over F_p of total degree 2..4, divisible by neither x nor y.
+
+    Besides dense random Q, products of univariate factors in y and in
+    x + k*y give linear divisors over extensions."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    d = draw(st.integers(min_value=1, max_value=3))
+    coef = st.integers(min_value=0, max_value=p - 1)
+    x, y = BiPoly.variable("x", p), BiPoly.variable("y", p)
+
+    def univariate(u, deg):
+        acc = BiPoly.const(p, draw(st.integers(min_value=1, max_value=p - 1)))
+        for _ in range(deg):
+            acc = acc * u + BiPoly.const(p, draw(coef))
+        return acc
+
+    Q = BiPoly.const(p, 1)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from(["dense", "in-y", "in-x+ky"]))
+        room = 4 - max(Q.total_degree, 0)
+        if room < 1:
+            break
+        deg = draw(st.integers(min_value=1, max_value=min(room, 3)))
+        if kind == "dense":
+            factor = BiPoly(p, {(i, t - i): draw(coef) for t in range(deg + 1) for i in range(t + 1)})
+        elif kind == "in-y":
+            factor = univariate(y, deg)
+        else:
+            factor = univariate(x + y.scale(draw(coef)), deg)
+        if not factor.is_zero():
+            Q = Q * factor
+    return Q, p, d
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=small_field_poly())
+def test_linear_factor_search_matches_scalar_reference(case):
+    Q, p, d = case
+    assume(Q.total_degree >= 2)
+    assume(not all(j >= 1 for _, j in Q.coeffs))  # y | Q is settled by the caller
+    assume(not all(i >= 1 for i, _ in Q.coeffs))  # x | Q likewise
+    F = ext_field(p, d)
+    assert _linear_factor_exists(Q, F) == _ref_linear_factor_exists(Q, F)
+
+
+def test_linear_factor_search_near_element_budget():
+    # q = 359^2 = 128881 sits near the 2^17 element budget; x^2 - n*y^2 with
+    # n a non-residue splits only over F_{359^2}
+    p = 359
+    n = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    Q = BiPoly(p, {(2, 0): 1, (0, 2): -n})
+    assert factor_oracle(Q, 1) is False
+    assert factor_oracle(Q, 2) is True
+
+
+def test_linear_factor_search_products_exceed_32_bits():
+    # p = 2^17 - 1: in a*x^2 - a*r*y^2 with a = p - 2 and r, nr the largest
+    # residue and non-residue, the products a * b^2 near b^2 = r reach
+    # p^2 ~ 1.7e10, past 32-bit range
+    p = 2**17 - 1
+    a = p - 2
+    r = next(s for s in range(p - 1, 1, -1) if pow(s, (p - 1) // 2, p) == 1)
+    nr = next(s for s in range(p - 1, 1, -1) if pow(s, (p - 1) // 2, p) == p - 1)
+    F = ext_field(p, 1)
+    assert _linear_factor_exists(BiPoly(p, {(2, 0): a, (0, 2): -a * r}), F) is True
+    assert _linear_factor_exists(BiPoly(p, {(2, 0): a, (0, 2): -a * nr}), F) is False
 
 
 def test_criterion_matches_oracle_spot_checks():
