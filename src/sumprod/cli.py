@@ -28,7 +28,7 @@ from .field import make_prime
 from .poly import UniPoly, is_good, is_required, parse_bipoly
 from .setops import image, value_set
 from .subgroup import coset_of, enumerate_subgroups, subgroup_of_order
-from .sweep import SweepConfig, count_violations, emit_report, run_sweep
+from .sweep import SweepConfig, write_sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -285,9 +285,7 @@ def _cmd_sweep(args) -> int:
     cfg = SweepConfig.from_file(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    records = run_sweep(cfg, jobs=args.jobs)
-    emit_report(records, args.format, args.out)
-    bad = count_violations(records)
+    bad = write_sweep(cfg, args.format, args.out, jobs=args.jobs)
     if bad:
         print(f"{bad} premise-met violation(s) found", file=sys.stderr)
         return 2

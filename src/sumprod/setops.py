@@ -161,13 +161,24 @@ def sumset(A: ValueSet, B: ValueSet, sign: int = 1) -> ValueSet:
 
 
 def shift_intersection(G: Subgroup, mu: int) -> int:
-    """|G ∩ (G + mu)| — how many g in G have g - mu also in G."""
+    """|G ∩ (G + mu)| — how many g in G have g - mu also in G.
+
+    The count is the same for every shift in the coset mu*G: for h in G,
+    G ∩ (G + mu*h) = h * (G ∩ (G + mu)), because multiplying by h permutes
+    G.  So each count is computed once per coset and cached on G under the
+    coset key mu^|G| mod p, which a sweep over all mu then reuses.
+    """
     p = G.p
     mu %= p
     if mu == 0:
         raise ZeroShift("shift must be nonzero")
-    members = G.member_set
-    return sum(1 for g in G.elements if (g - mu) % p in members)
+    key = pow(mu, G.order, p)
+    count = G.shift_counts.get(key)
+    if count is None:
+        members = G.member_set
+        count = sum(1 for g in G.elements if (g - mu) % p in members)
+        G.shift_counts[key] = count
+    return count
 
 
 def fiber_set(fs: Sequence[UniPoly], cosets: Sequence[Coset]) -> ValueSet:
@@ -226,11 +237,6 @@ def count_zero_pairs(P: BiPoly, G: Subgroup, *, max_pairs: int = DEFAULT_MAX_PAI
     return count
 
 
-def _coset_rep(v: int, G: Subgroup) -> int:
-    p = G.p
-    return min(v * g % p for g in G.elements)
-
-
 def count_level_pairs(
     P: BiPoly, G: Subgroup, alphas: ValueSet, *, max_pairs: int = DEFAULT_MAX_PAIRS
 ) -> PairCount:
@@ -242,15 +248,16 @@ def count_level_pairs(
     """
     if P.p != G.p or alphas.prime.p != G.p:
         raise ValueError("mixed primes")
-    reps: dict[int, int] = {}
+    p = G.p
+    by_key: dict[int, int] = {}  # coset key a^|G| -> level
     for a in alphas:
         if a == 0:
             raise ZeroLevel("level values must be nonzero")
-        rep = _coset_rep(a, G)
-        if rep in reps:
-            raise CosetCollision(f"levels {reps[rep]} and {a} share the coset of {rep}")
-        reps[rep] = a
-    p = G.p
+        key = pow(a, G.order, p)
+        if key in by_key:
+            rep = min(a * g % p for g in G.elements)
+            raise CosetCollision(f"levels {by_key[key]} and {a} share the coset of {rep}")
+        by_key[key] = a
     n_pairs = G.order * G.order
     if n_pairs > max_pairs:
         raise SizeBudget(f"|G|^2 = {n_pairs} exceeds budget {max_pairs}")

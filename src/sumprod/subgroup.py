@@ -3,7 +3,9 @@
 F_p* is cyclic, so there is exactly one subgroup per divisor of p - 1; each
 is generated by g^((p-1)/d) for the canonical (smallest) primitive root g.
 Cosets are named by their smallest member, which makes every partition and
-report deterministic.
+report deterministic.  Where only coset identity matters, v^|G| mod p is an
+O(log |G|) key: G is the kernel of x -> x^|G|, so v and w share a coset
+exactly when their keys agree.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ class Subgroup:
     generator: int
     elements: tuple[int, ...]  # ascending
     member_set: frozenset[int] = dc_field(repr=False, compare=False, default=frozenset())
+    # |G ∩ (G + mu)| by the coset key mu^|G| mod p (see setops.shift_intersection)
+    shift_counts: dict[int, int] = dc_field(repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if not self.member_set:

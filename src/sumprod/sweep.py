@@ -4,22 +4,28 @@ in parallel), and emit byte-stable JSONL/CSV reports.
 Determinism contract: a config plus its seed pins the full instance list
 and every sampled value, so two runs differ in nothing — including worker
 count.  Randomness is drawn from a fresh generator seeded per instance
-(never from a shared stream), workers only compute, and records are sorted
-by (p, order, poly, detail) before anything is written.  Wall-clock time is
-deliberately absent from the serialized records.
+(never from a shared stream), and the instances are sorted into report
+order, by (p, order, poly) with ties in generation order, before fan-out.
+The sorted list is cut into contiguous blocks; each block runs (and, for
+`write_sweep`, renders) in one worker, and the parent consumes the blocks
+in order, so a report streams out block by block and the parent never holds
+every record.  Wall-clock time is deliberately absent from the serialized
+records.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
 import json
+import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .bounds import (
     ProbeConfig,
@@ -59,6 +65,19 @@ CSV_COLUMNS = (
 
 # used only to syntax-check expressions before any per-prime parse
 _SYNTAX_CHECK_PRIME = 2147483647
+
+# the params each kind reads: "count" is a positive integer, "fraction" a
+# number strictly between 0 and 1
+_PARAMS = {
+    "t2": {},
+    "vm": {"alpha_count": "count", "alpha_sets": "count"},
+    "gv": {"mu_sample": "count"},
+    "thmap": {"pair_count": "count"},
+    "growth": {},
+    "probe": {"set_size": "count", "trials": "count", "delta": "fraction", "epsilon": "fraction"},
+}
+
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -134,6 +153,18 @@ class SweepConfig:
         params = data.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("params: must be an object")
+        allowed = _PARAMS[kind]
+        for name, value in params.items():
+            rule = allowed.get(name)
+            if rule is None:
+                known = ", ".join(sorted(allowed)) or "none"
+                raise ConfigError(f"params.{name}: not a {kind} parameter (known: {known})")
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"params.{name}: need a number, got {value!r}")
+            if rule == "count" and not (isinstance(value, int) and value >= 1):
+                raise ConfigError(f"params.{name}: need a positive integer, got {value!r}")
+            if rule == "fraction" and not 0 < value < 1:
+                raise ConfigError(f"params.{name}: need a number in (0, 1), got {value!r}")
 
         seed = data.get("seed", 0)
         if not isinstance(seed, int) or not 0 <= seed < 2**64:
@@ -208,26 +239,38 @@ def _sample_distinct_coset_values(rng: random.Random, G: Subgroup, h: int) -> li
     """h nonzero values in pairwise-distinct G-cosets (h capped by coset count)."""
     p = G.p
     h = min(h, (p - 1) // G.order)
-    seen_reps: set[int] = set()
+    seen_keys: set[int] = set()  # v^|G| is the same exactly for v in one coset
     out: list[int] = []
     while len(out) < h:
         v = rng.randrange(1, p)
-        rep = min(v * g % p for g in G.elements)
-        if rep not in seen_reps:
-            seen_reps.add(rep)
+        key = pow(v, G.order, p)
+        if key not in seen_keys:
+            seen_keys.add(key)
             out.append(v)
     return sorted(out)
 
 
+def _record_key(rec: dict) -> tuple:
+    # generation order is already deterministic and numerically natural, so
+    # the stable sort only needs the coarse key; ties keep their enumeration
+    # order (e.g. mu=2 stays ahead of mu=10)
+    return (rec["p"], rec["order"], rec["poly"])
+
+
 def generate_instances(cfg: SweepConfig) -> list[dict]:
-    """The full deterministic worklist; each entry is picklable and sortable."""
+    """The full deterministic worklist in report order; each entry is picklable.
+
+    Instances carry the record's (p, order, poly), so sorting them here puts
+    the records in the order the report needs (thmap trials, for one, are
+    drawn in trial order but reported in shift-string order).
+    """
     out: list[dict] = []
     kind = cfg.inequality
     for p in cfg.primes:
         for d in _orders_for(cfg, p):
             if kind == "gv":
                 if "mu_sample" in cfg.params:
-                    count = int(cfg.params["mu_sample"])
+                    count = cfg.params["mu_sample"]
                     rng = _rng(cfg, p, d, "mu")
                     mus: Iterable[int] = sorted(rng.sample(range(1, p), min(count, p - 1)))
                 else:
@@ -240,8 +283,8 @@ def generate_instances(cfg: SweepConfig) -> list[dict]:
                 for poly in cfg.polys:
                     out.append({"kind": kind, "p": p, "order": d, "poly": poly})
             elif kind == "vm":
-                h = int(cfg.params.get("alpha_count", 1))
-                trials = int(cfg.params.get("alpha_sets", 1))
+                h = cfg.params.get("alpha_count", 1)
+                trials = cfg.params.get("alpha_sets", 1)
                 for poly in cfg.polys:
                     for t in range(trials):
                         rng = _rng(cfg, p, d, poly, "vm", t)
@@ -251,7 +294,7 @@ def generate_instances(cfg: SweepConfig) -> list[dict]:
                             {"kind": kind, "p": p, "order": d, "poly": poly, "alphas": alphas}
                         )
             elif kind == "thmap":
-                trials = int(cfg.params.get("pair_count", 1))
+                trials = cfg.params.get("pair_count", 1)
                 for t in range(trials):
                     rng = _rng(cfg, p, d, "thmap", t)
                     a = rng.randrange(1, p)
@@ -271,10 +314,10 @@ def generate_instances(cfg: SweepConfig) -> list[dict]:
                         }
                     )
             elif kind == "probe":
-                size = int(cfg.params.get("set_size", 4))
-                trials = int(cfg.params.get("trials", 1))
-                delta = float(cfg.params.get("delta", 0.5))
-                epsilon = float(cfg.params.get("epsilon", 0.25))
+                size = cfg.params.get("set_size", 4)
+                trials = cfg.params.get("trials", 1)
+                delta = cfg.params.get("delta", 0.5)
+                epsilon = cfg.params.get("epsilon", 0.25)
                 for poly in cfg.polys:
                     for t in range(trials):
                         rng = _rng(cfg, p, d, poly, "probe", t)
@@ -298,6 +341,7 @@ def generate_instances(cfg: SweepConfig) -> list[dict]:
         inst["seed"] = cfg.seed
         inst["max_pairs"] = cfg.max_pairs
         inst["ext_elements"] = cfg.ext_elements
+    out.sort(key=_record_key)
     return out
 
 
@@ -423,11 +467,38 @@ def run_instance(inst: dict) -> dict:
     return rec
 
 
-def _record_key(rec: dict) -> tuple:
-    # generation order is already deterministic and numerically natural, so
-    # the stable sort only needs the coarse key; ties keep their enumeration
-    # order (e.g. mu=2 stays ahead of mu=10)
-    return (rec["p"], rec["order"], rec["poly"])
+@contextlib.contextmanager
+def _block_results(fn, cfg: SweepConfig, jobs: int | None) -> Iterator[Iterator]:
+    """fn over contiguous blocks of the sorted instance list, in block order.
+
+    The instances are generated on entry, so a config that cannot be
+    enumerated fails before the caller opens any output.  Each worker gets
+    about eight blocks; with one worker the blocks run in this process.
+    Leaving the context early cancels the blocks not yet started.
+    """
+    instances = generate_instances(cfg)
+    n_jobs = jobs if jobs is not None else cfg.jobs
+    size = max(1, len(instances) // (max(n_jobs, 1) * 8))
+    blocks = [instances[i : i + size] for i in range(0, len(instances), size)]
+    if n_jobs <= 1 or len(blocks) < 2:
+        yield map(fn, blocks)
+        return
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        results = pool.map(fn, blocks)
+        try:
+            yield results
+        finally:
+            results.close()
+
+
+def _run_block(instances: list[dict]) -> list[dict]:
+    return [run_instance(inst) for inst in instances]
+
+
+def _render_block(fmt: str, instances: list[dict]) -> tuple[str, int]:
+    """One block's report text (no CSV header) and its violation count."""
+    records = _run_block(instances)
+    return render_report(records, fmt, header=False), count_violations(records)
 
 
 def run_sweep(cfg: SweepConfig, jobs: int | None = None) -> list[dict]:
@@ -437,25 +508,13 @@ def run_sweep(cfg: SweepConfig, jobs: int | None = None) -> list[dict]:
     sampled value happen before fan-out, so the records are identical for
     any value of jobs.
     """
-    instances = generate_instances(cfg)
-    n_jobs = jobs if jobs is not None else cfg.jobs
-    if n_jobs <= 1 or len(instances) < 2:
-        records = [run_instance(inst) for inst in instances]
-    else:
-        chunk = max(1, len(instances) // (n_jobs * 8))
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            records = list(pool.map(run_instance, instances, chunksize=chunk))
-    records.sort(key=_record_key)
-    return records
+    with _block_results(_run_block, cfg, jobs) as blocks:
+        return [rec for block in blocks for rec in block]
 
 
 def count_violations(records: Iterable[dict]) -> int:
     """Premise-met records where the inequality failed (a counterexample)."""
     return sum(1 for r in records if r["premise_ok"] and r["holds"] is False)
-
-
-def _json_line(rec: dict) -> str:
-    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 
 def _csv_cell(value) -> str:
@@ -466,29 +525,68 @@ def _csv_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, dict):
-        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+        return _JSON.encode(value)
     return str(value)
 
 
-def render_report(records: Sequence[dict], fmt: str) -> str:
-    """Serialize records to one deterministic string (jsonl or csv)."""
+def render_report(records: Sequence[dict], fmt: str, *, header: bool = True) -> str:
+    """Serialize records to one deterministic string (jsonl or csv).
+
+    header=False leaves out the CSV header line, for the blocks of a report
+    after its first.
+    """
     if fmt == "jsonl":
-        return "".join(_json_line(r) + "\n" for r in records)
+        encode = _JSON.encode
+        return "".join(f"{encode(r)}\n" for r in records)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        if header:
+            writer.writerow(CSV_COLUMNS)
         for rec in records:
             writer.writerow([_csv_cell(rec[col]) for col in CSV_COLUMNS])
         return buf.getvalue()
     raise ConfigError(f"format: unknown {fmt!r} (expected jsonl or csv)")
 
 
+def _open_report(path: str):
+    """A writable text stream for path; '-' is stdout, which stays open."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def emit_report(records: Sequence[dict], fmt: str, path: str) -> None:
     """Write the rendered report; '-' streams to stdout."""
     text = render_report(records, fmt)
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    with _open_report(path) as out:
+        out.write(text)
+
+
+def write_sweep(cfg: SweepConfig, fmt: str, path: str, jobs: int | None = None) -> int:
+    """Run the sweep and write its report block by block; returns the number
+    of premise-met violations.
+
+    Each block runs and renders in its worker, and the blocks are written in
+    order after one header, so the bytes equal
+    render_report(run_sweep(cfg), fmt) while the parent holds at most the
+    text of the blocks not yet written.  The output is opened only after the
+    config's instances have been generated.  If a block raises, a file this
+    call created is removed again; an interrupted run keeps the blocks
+    already written, each complete.
+    """
+    head = render_report([], fmt)  # the CSV header; empty for jsonl
+    with _block_results(functools.partial(_render_block, fmt), cfg, jobs) as blocks:
+        created = path != "-" and not os.path.lexists(path)
+        violations = 0
+        try:
+            with _open_report(path) as out:
+                out.write(head)
+                for text, bad in blocks:
+                    out.write(text)
+                    violations += bad
+        except Exception:
+            if created:
+                os.remove(path)
+            raise
+    return violations

@@ -139,6 +139,24 @@ def test_shift_intersection_strictly_below_order():
                 assert 0 <= n < G.order or (G.order == 1 and n == 0)
 
 
+def test_shift_intersection_cache_matches_brute():
+    # every count is cached per coset of mu; visiting the shifts in shuffled
+    # order, plus mu + p and -mu, makes most lookups cache hits, each of which
+    # must still equal the direct count
+    rng = random.Random(5)
+    for p in range(3, 80):
+        if any(p % q == 0 for q in range(2, p)):
+            continue
+        prime = make_prime(p)
+        for G in enumerate_subgroups(prime):
+            shifts = [m for mu in range(1, p) for m in (mu, mu + p, -mu)]
+            rng.shuffle(shifts)
+            for mu in shifts:
+                brute = sum(1 for g in G.elements if (g - mu) % p in G.member_set)
+                assert shift_intersection(G, mu) == brute, (p, G.order, mu)
+            assert len(G.shift_counts) == (p - 1) // G.order  # one entry per coset
+
+
 # --- fiber_set -----------------------------------------------------------------
 
 
@@ -244,9 +262,11 @@ def test_level_pair_validation():
     P = parse_bipoly("x+y", P13)
     with pytest.raises(ZeroLevel):
         count_level_pairs(P, G3, value_set(P13, [0, 2]))
-    # 2 and 5 share the coset 2*G = {2, 5, 6}
-    with pytest.raises(CosetCollision):
+    # 2 and 5 share the coset 2*G = {2, 5, 6}, named by its smallest member
+    with pytest.raises(CosetCollision, match="levels 2 and 5 share the coset of 2$"):
         count_level_pairs(P, G3, value_set(P13, [2, 5]))
+    with pytest.raises(CosetCollision, match="levels 5 and 6 share the coset of 2$"):
+        count_level_pairs(P, G3, value_set(P13, [1, 5, 6]))
 
 
 def test_level_pair_totals_match_brute():

@@ -1,11 +1,16 @@
+import glob
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from sumprod import sweep
 from sumprod.cli import main
 from sumprod.errors import ConfigError
+from sumprod.field import make_prime
+from sumprod.subgroup import coset_of, subgroup_of_order
 from sumprod.sweep import (
     CSV_COLUMNS,
     SweepConfig,
@@ -15,6 +20,8 @@ from sumprod.sweep import (
     render_report,
     run_sweep,
 )
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "configs")
 
 
 def gv_config(**over):
@@ -48,6 +55,45 @@ def test_config_rejects_unknown_inequality():
 def test_config_rejects_empty_primes():
     with pytest.raises(ConfigError):
         SweepConfig.from_json({"inequality": "gv", "primes": [], "seed": 1})
+
+
+@pytest.mark.parametrize(
+    "kind, params, where",
+    [
+        ("probe", {"delta": 2}, "params.delta"),
+        ("probe", {"epsilon": 0}, "params.epsilon"),
+        ("probe", {"delta": "0.5"}, "params.delta"),
+        ("probe", {"trials": 0}, "params.trials"),
+        ("probe", {"set_size": 2.5}, "params.set_size"),
+        ("vm", {"alpha_count": True}, "params.alpha_count"),
+        ("vm", {"alpha_sets": -1}, "params.alpha_sets"),
+        ("vm", {"pair_count": 2}, "params.pair_count"),
+        ("gv", {"mu_sample": "3"}, "params.mu_sample"),
+        ("thmap", {"pair_count": 1.0}, "params.pair_count"),
+        ("t2", {"alpha_count": 1}, "params.alpha_count"),
+        ("growth", {"typo": 1}, "params.typo"),
+    ],
+)
+def test_config_rejects_bad_params(kind, params, where):
+    doc = {"inequality": kind, "primes": [13], "polys": ["x+y"], "params": params}
+    with pytest.raises(ConfigError) as exc:
+        SweepConfig.from_json(doc)
+    assert str(exc.value).startswith(where)
+
+
+def test_config_accepts_good_params():
+    cfg = SweepConfig.from_json({
+        "inequality": "probe", "primes": [13], "polys": ["x+y"],
+        "params": {"delta": 0.25, "epsilon": 0.5, "set_size": 3, "trials": 2},
+    })
+    assert len(generate_instances(cfg)) == 2 * 5  # orders 2, 3, 4, 6, 12
+
+
+def test_sample_configs_load():
+    paths = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json")))
+    assert len(paths) == 4
+    for path in paths:
+        SweepConfig.from_file(path)
 
 
 def test_config_admitted_order_filter():
@@ -118,6 +164,19 @@ def test_generate_instances_deterministic():
         }
     ))
     assert a != c
+
+
+def test_vm_alphas_in_distinct_cosets():
+    cfg = SweepConfig.from_json({
+        "inequality": "vm", "primes": [13, 31, 61], "orders": "all", "polys": ["x+y"],
+        "params": {"alpha_count": 4, "alpha_sets": 3}, "seed": 5,
+    })
+    for inst in generate_instances(cfg):
+        p, d = inst["p"], inst["order"]
+        G = subgroup_of_order(make_prime(p), d)
+        reps = [coset_of(v, G).representative for v in inst["alphas"]]
+        assert len(inst["alphas"]) == min(4, (p - 1) // d)
+        assert len(set(reps)) == len(reps), inst
 
 
 # --- report emission ----------------------------------------------------------
@@ -322,6 +381,112 @@ def test_cli_bad_config_exit_1(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"inequality": "gv", "primes": [4], "seed": 1}))
     assert main(["sweep", "--config", str(cfg_path)]) == 1
     assert "primes[0]" in capsys.readouterr().err
+
+
+def test_cli_bad_params_exit_1_no_output(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(
+        {"inequality": "probe", "primes": [13], "polys": ["x+y"], "params": {"delta": 2}}
+    ))
+    out_path = tmp_path / "out.jsonl"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out_path)]) == 1
+    assert "params.delta" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cli_sweep_error_leaves_no_output(tmp_path, capsys, jobs):
+    # x*y fails the probe's premise check inside the sweep, not at load time
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"inequality": "probe", "primes": [13, 31], "polys": ["x+y", "x*y"]}
+    ))
+    out_path = tmp_path / "out.jsonl"
+    rc = main(["sweep", "--config", str(cfg_path), "--jobs", str(jobs), "--out", str(out_path)])
+    assert rc == 1
+    assert "single-variable factor" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def _thmap_trial_polys(cfg, p, d, trials):
+    """The shift strings of one (p, order) in the order the trials draw them."""
+    polys = []
+    for t in range(trials):
+        rng = sweep._rng(cfg, p, d, "thmap", t)
+        a = rng.randrange(1, p)
+        b = rng.randrange(1, p)
+        while b == a:
+            b = rng.randrange(1, p)
+        lo, hi = sorted((a, b))
+        polys.append(f"x+{lo};x+{hi}")
+    return polys
+
+
+STREAM_CONFIGS = {
+    "gv": {"inequality": "gv", "primes": [5, 7, 13, 31], "orders": "all", "seed": 4},
+    "thmap": {"inequality": "thmap", "primes": [443, 463], "orders": "all",
+              "params": {"pair_count": 5}, "seed": 7},
+    "probe": {"inequality": "probe", "primes": [13, 31], "orders": [3, 6],
+              "polys": ["x^2+y^2", "x+2*y", "x+y"], "params": {"trials": 2}, "seed": 2},
+    "empty": {"inequality": "t2", "primes": [13], "orders": {"admitted_for_n": 1},
+              "polys": ["x+y"], "seed": 3},
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("name", sorted(STREAM_CONFIGS))
+def test_cli_stream_matches_render_report(tmp_path, name, fmt, jobs):
+    doc = STREAM_CONFIGS[name]
+    cfg = SweepConfig.from_json(doc)
+    records = run_sweep(cfg, jobs=1)
+    if name == "thmap":
+        # trial order differs from the shift-string order of the report, so
+        # the instances really are reordered before they run
+        groups = {}
+        for r in records:
+            groups.setdefault((r["p"], r["order"]), []).append(r["poly"])
+        reordered = [
+            key for key, polys in groups.items()
+            if _thmap_trial_polys(cfg, *key, 5) != polys
+        ]
+        assert reordered
+        assert all(sorted(_thmap_trial_polys(cfg, *k, 5)) == v for k, v in groups.items())
+    if name == "empty":
+        assert records == []
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out_path = tmp_path / f"out.{fmt}"
+    rc = main(["sweep", "--config", str(cfg_path), "--format", fmt,
+               "--jobs", str(jobs), "--out", str(out_path)])
+    assert rc == 0
+    expected = render_report(records, fmt)
+    assert out_path.read_text(encoding="utf-8") == expected
+    if name == "empty":
+        assert expected == ("" if fmt == "jsonl" else ",".join(CSV_COLUMNS) + "\n")
+
+
+def test_cli_sweep_counts_violations(tmp_path, monkeypatch, capsys):
+    real = sweep.run_instance
+
+    def flip_one(inst):
+        rec = real(inst)
+        if (rec["p"], rec["order"], rec["detail"]) == (13, 3, "mu=1"):
+            assert rec["premise_ok"] and rec["holds"] is True
+            rec["holds"] = False
+        return rec
+
+    monkeypatch.setattr(sweep, "run_instance", flip_one)
+    doc = {"inequality": "gv", "primes": [7, 13], "orders": "all", "seed": 1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "out.jsonl"
+    rc = main(["sweep", "--config", str(cfg_path), "--jobs", "1", "--out", str(out_path)])
+    assert rc == 2
+    assert "1 premise-met violation(s) found" in capsys.readouterr().err
+    records = run_sweep(SweepConfig.from_json(doc), jobs=1)
+    assert count_violations(records) == 1
+    assert out_path.read_text(encoding="utf-8") == render_report(records, "jsonl")
 
 
 def test_module_entrypoint_subprocess():
