@@ -1,6 +1,7 @@
 """Exact workbench for multiplicative-subgroup arithmetic in prime fields:
 polynomial images, sumsets, coset fibers, and the inequalities that bound
-them, all verified by full enumeration."""
+them, all computed exactly: by full enumeration, or for homogeneous forms
+over G x G by their coset keys (see sumprod.setops)."""
 
 from .bounds import (
     ExtractionCertificate,
@@ -44,6 +45,7 @@ from .setops import (
     count_zero_pairs,
     fiber_set,
     image,
+    image_size,
     shift_intersection,
     sumset,
     value_set,

@@ -30,9 +30,8 @@ from .setops import (
     count_level_pairs,
     fiber_set,
     image,
+    image_size,
     shift_intersection,
-    sumset,
-    value_set,
 )
 from .subgroup import Coset, Subgroup, is_admitted
 
@@ -143,8 +142,7 @@ def verify_image_lower_bound(
             reason = f"not-good: {good.reason}"
         elif not is_admitted(G, n):
             reason = "not-admitted"
-    gv = value_set(G.prime, G.elements)
-    lhs = len(image(P, gv, gv, max_pairs=max_pairs))
+    lhs = image_size(P, G, max_pairs=max_pairs)
     denom = G.order**1.5
     c = image_bound_constants(max(n, 1)).c
     return _verdict("t2", reason, lhs, c * denom, ">", lhs / denom)
@@ -203,7 +201,9 @@ def verify_fiber_bound(
     """|{x : f_i(x) in i-th coset for all i}| <= c3 * |G|^{1/2 + 1/(2n)}.
 
     The premise needs the f_i permissible and c1 < |G| < c2 * p^{1-1/(2n+1)}
-    for the constants built from the degree vector.  A constant f_i has no
+    for the constants built from the degree vector m.  The upper window is
+    decided exactly: raising both sides to the power 2n+1 turns it into
+    |G|^{2n+1} * (n+1)^{2n} * (prod m)^2 < p^{2n}.  A constant f_i has no
     degree-vector entry: the verdict then reports the permissibility
     failure with rhs 0 rather than inventing constants.
     """
@@ -229,7 +229,10 @@ def verify_fiber_bound(
         if not reason:
             if not consts.c1 < G.order:
                 reason = "subgroup-too-small"
-            elif not G.order < consts.c2 * G.p ** (1 - 1 / (2 * n + 1)):
+            elif not (
+                G.order ** (2 * n + 1) * (n + 1) ** (2 * n) * math.prod(consts.m) ** 2
+                < G.p ** (2 * n)
+            ):
                 reason = "subgroup-too-large"
     lhs = len(fiber_set(fs, cosets))
     return _verdict("thmap", reason, lhs, rhs, "<=", lhs / denom)
@@ -259,11 +262,11 @@ def probe_growth(G: Subgroup, *, max_pairs: int = DEFAULT_MAX_PAIRS) -> GrowthRe
     d = G.order
     if d < 2:
         raise ValueError("growth ratios need |G| >= 2")
-    gv = value_set(G.prime, G.elements)
     if d * d > max_pairs:
         raise SizeBudget(f"|G|^2 = {d*d} exceeds budget {max_pairs}")
-    s = len(sumset(gv, gv, 1))
-    t = len(sumset(gv, gv, -1))
+    # |G + G| and |G - G| are the images of the homogeneous x + y and x - y
+    s = image_size(BiPoly(G.p, {(1, 0): 1, (0, 1): 1}), G, max_pairs=max_pairs)
+    t = image_size(BiPoly(G.p, {(1, 0): 1, (0, 1): -1}), G, max_pairs=max_pairs)
     p43 = d ** (4 / 3)
     p53 = d ** (5 / 3)
     p32 = d**1.5

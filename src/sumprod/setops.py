@@ -1,16 +1,25 @@
 """Exact set-valued computations: polynomial images, sumsets, shifted
 intersections, simultaneous-coset fiber sets, and pair counts over G x G.
 
-Everything here is full enumeration — no sampling, no probabilistic
-shortcuts.  numpy carries the bulk work in fixed-size chunks on one path
-for every prime; only the dtype depends on p: uint64 below 2^32, where every
-product plus a residue, (p-1)^2 + (p-1), fits, and object (Python ints) from
-2^32 up.  Sets are deduplicated by sorting.  Budgets cap pairs, not answers.
+Everything here is exact — no sampling, no probabilistic shortcuts.
+Counts over G x G of a nonzero homogeneous P of degree n (image size, zero
+pairs, level pairs) take O(|G|) work: P(a, a*t) = a^n * P(1, t), and
+(a, a*t) runs over G x G as (a, t) does, so every value is P(1, t) times an
+element of H = {a^n : a in G}.  H has order k = |G|/gcd(n, |G|) and is the
+kernel of v -> v^k, so nonzero values lie in one H-coset exactly when their
+k-th powers agree; the counts follow from the k-th powers of the |G| values
+P(1, t) (see _homogeneous_keys).  Everything else is full enumeration.
+numpy carries the bulk work in fixed-size chunks on one path for every
+prime; only the dtype depends on p: uint64 below 2^32, where every product
+plus a residue, (p-1)^2 + (p-1), fits, and object (Python ints) from 2^32
+up.  Sets are deduplicated by sorting.  Budgets cap pairs, not answers.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -25,7 +34,7 @@ from .errors import (
     ZeroShift,
 )
 from .field import Prime
-from .poly import BiPoly, UniPoly, is_homogeneous
+from .poly import BiPoly, UniPoly
 from .subgroup import Coset, Subgroup
 
 DEFAULT_MAX_PAIRS = 10**8
@@ -135,6 +144,44 @@ def _grid_blocks(avals: Sequence[int], bvals: Sequence[int], p: int):
         yield a[start : start + rows], b
 
 
+def _eval_blocks(P: BiPoly, avals: Sequence[int], bvals: Sequence[int], p: int):
+    """P over the grid avals x bvals, one evaluated block at a time."""
+    return (_eval_grid(P, ablock, b, p) for ablock, b in _grid_blocks(avals, bvals, p))
+
+
+def _homogeneous_degree(P: BiPoly) -> int | None:
+    """The total degree of a nonzero homogeneous P; None for any other P."""
+    if not P.coeffs:
+        return None
+    homogeneous, n = P.homogeneity()
+    return n if homogeneous else None
+
+
+def _homogeneous_keys(P: BiPoly, G: Subgroup, n: int) -> tuple[int, int, Counter]:
+    """(e, zeros, keys) for P homogeneous of degree n over G x G.
+
+    e = gcd(n, |G|); zeros counts the t in G with P(1, t) = 0; keys counts
+    the coset keys v^k mod p, k = |G|/e, of the nonzero v = P(1, t).  Each
+    t contributes the values P(a, a*t) = a^n * v, a in G: that is 0 |G|
+    times when v = 0, and otherwise every element of the coset v*H,
+    H = {a^n : a in G} of order k, e times each.  Two cosets v*H and w*H
+    agree exactly when v^k = w^k, because H is the kernel of x -> x^k.
+    """
+    p = G.p
+    e = math.gcd(n, G.order)
+    k = G.order // e
+    f = P.subst_x(1)
+    zeros = 0
+    keys: Counter = Counter()
+    for t in G.elements:
+        v = f(t)
+        if v:
+            keys[pow(v, k, p)] += 1
+        else:
+            zeros += 1
+    return e, zeros, keys
+
+
 def image(P: BiPoly, A: ValueSet, B: ValueSet, *, max_pairs: int = DEFAULT_MAX_PAIRS) -> ValueSet:
     """{P(a, b) : a in A, b in B}, by evaluating every pair."""
     prime = _same_prime(A, B)
@@ -143,9 +190,27 @@ def image(P: BiPoly, A: ValueSet, B: ValueSet, *, max_pairs: int = DEFAULT_MAX_P
     n_pairs = len(A) * len(B)
     if n_pairs > max_pairs:
         raise SizeBudget(f"|A|*|B| = {n_pairs} exceeds budget {max_pairs}")
-    p = prime.p
-    grids = (_eval_grid(P, ablock, b, p) for ablock, b in _grid_blocks(A.members, B.members, p))
-    return _trusted_value_set(prime, _distinct(grids))
+    return _trusted_value_set(prime, _distinct(_eval_blocks(P, A.members, B.members, prime.p)))
+
+
+def image_size(P: BiPoly, G: Subgroup, *, max_pairs: int = DEFAULT_MAX_PAIRS) -> int:
+    """|P(G, G)|: by the coset keys of P(1, t) for nonzero homogeneous P,
+    otherwise by evaluating every pair.
+
+    For homogeneous P the image is {0} when some P(1, t) is 0, plus one
+    coset of order k = |G|/gcd(n, |G|) per distinct key (_homogeneous_keys).
+    The pair budget applies either way, as it does for image(G, G).
+    """
+    if P.p != G.p:
+        raise ValueError("polynomial and subgroup use different primes")
+    n_pairs = G.order * G.order
+    if n_pairs > max_pairs:  # image()'s message, which t2 budget records carry
+        raise SizeBudget(f"|A|*|B| = {n_pairs} exceeds budget {max_pairs}")
+    n = _homogeneous_degree(P)
+    if n is None:
+        return len(_distinct(_eval_blocks(P, G.elements, G.elements, G.p)))
+    e, zeros, keys = _homogeneous_keys(P, G, n)
+    return int(zeros > 0) + G.order // e * len(keys)
 
 
 def sumset(A: ValueSet, B: ValueSet, sign: int = 1) -> ValueSet:
@@ -213,28 +278,23 @@ def fiber_set(fs: Sequence[UniPoly], cosets: Sequence[Coset]) -> ValueSet:
 def count_zero_pairs(P: BiPoly, G: Subgroup, *, max_pairs: int = DEFAULT_MAX_PAIRS) -> int:
     """|{(a, b) in G x G : P(a, b) = 0}|.
 
-    Homogeneous P of degree n satisfies P(a, b) = a^n P(1, b/a) with b/a
-    ranging over G, so the count collapses to |G| * #{t in G : P(1,t) = 0}
-    — no G x G enumeration and hence no pair budget.  Anything else is
-    counted by brute force under the budget.
+    Homogeneous P of degree n satisfies P(a, a*t) = a^n P(1, t), so the
+    count collapses to |G| * #{t in G : P(1,t) = 0} — no G x G enumeration
+    and hence no pair budget.  Anything else is counted by brute force under
+    the budget.
     """
     if not P.coeffs:
         raise ZeroPolynomial("cannot count zeros of the zero polynomial")
     if P.p != G.p:
         raise ValueError("polynomial and subgroup use different primes")
-    p = G.p
-    homogeneous, _ = is_homogeneous(P)
-    if homogeneous:
-        f = P.subst_x(1)
-        roots = sum(1 for t in G.elements if f(t) == 0)
-        return G.order * roots
+    n = _homogeneous_degree(P)
+    if n is not None:
+        _, zeros, _ = _homogeneous_keys(P, G, n)
+        return G.order * zeros
     n_pairs = G.order * G.order
     if n_pairs > max_pairs:
         raise SizeBudget(f"|G|^2 = {n_pairs} exceeds budget {max_pairs}")
-    count = 0
-    for ablock, b in _grid_blocks(G.elements, G.elements, p):
-        count += int((_eval_grid(P, ablock, b, p) == 0).sum())
-    return count
+    return sum(int((grid == 0).sum()) for grid in _eval_blocks(P, G.elements, G.elements, G.p))
 
 
 def count_level_pairs(
@@ -244,7 +304,10 @@ def count_level_pairs(
 
     The levels must be nonzero and pairwise in distinct G-cosets; both
     conditions are validated up front because the bounds quantified over
-    these counts assume them.
+    these counts assume them.  For nonzero homogeneous P the count at a
+    level alpha is e * #{t in G : P(1, t)^k = alpha^k}, with e and k as in
+    _homogeneous_keys: each such t has exactly e solutions a in G of
+    a^n * P(1, t) = alpha.  Any other P is evaluated over every pair.
     """
     if P.p != G.p or alphas.prime.p != G.p:
         raise ValueError("mixed primes")
@@ -263,10 +326,16 @@ def count_level_pairs(
         raise SizeBudget(f"|G|^2 = {n_pairs} exceeds budget {max_pairs}")
     if not alphas.members:
         return PairCount(0, {})
+    n = _homogeneous_degree(P)
+    if n is not None:
+        e, _, keys = _homogeneous_keys(P, G, n)
+        k = G.order // e
+        per_level = {a: e * keys[pow(a, k, p)] for a in alphas}
+        return PairCount(sum(per_level.values()), per_level)
     levels = np.asarray(alphas.members, dtype=_dtype(p))
     tallies = np.zeros(len(levels), dtype=np.int64)
-    for ablock, b in _grid_blocks(G.elements, G.elements, p):
-        vals = _eval_grid(P, ablock, b, p).ravel()
+    for grid in _eval_blocks(P, G.elements, G.elements, p):
+        vals = grid.ravel()
         idx = np.searchsorted(levels, vals)
         idx = np.minimum(idx, len(levels) - 1)
         hit = levels[idx] == vals

@@ -124,17 +124,21 @@ def coset_partition(values: Iterable[int], G: Subgroup) -> CosetPartition:
     """Group the given values by coset, rows ascending by representative.
 
     Zero cannot be placed (it is absorbed by every multiplication) and is
-    reported via the flag instead of a row.
+    reported via the flag instead of a row.  Values are grouped by the coset
+    key v^|G| mod p, and each row's smallest member is found once.
     """
     p = G.p
     zero_seen = False
-    by_rep: dict[int, set[int]] = {}
+    by_key: dict[int, set[int]] = {}
     for v in values:
         v %= p
         if v == 0:
             zero_seen = True
             continue
-        rep = min(v * g % p for g in G.elements)
-        by_rep.setdefault(rep, set()).add(v)
-    rows = tuple((rep, tuple(sorted(by_rep[rep]))) for rep in sorted(by_rep))
-    return CosetPartition(rows, zero_seen)
+        by_key.setdefault(pow(v, G.order, p), set()).add(v)
+    rows = []
+    for vs in by_key.values():
+        members = tuple(sorted(vs))
+        rows.append((min(members[0] * g % p for g in G.elements), members))
+    rows.sort()
+    return CosetPartition(tuple(rows), zero_seen)

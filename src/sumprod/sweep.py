@@ -23,7 +23,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -483,6 +482,9 @@ def _block_results(fn, cfg: SweepConfig, jobs: int | None) -> Iterator[Iterator]
     if n_jobs <= 1 or len(blocks) < 2:
         yield map(fn, blocks)
         return
+    # imported here: a serial sweep never pays for the pool machinery
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         results = pool.map(fn, blocks)
         try:

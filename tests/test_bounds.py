@@ -19,11 +19,11 @@ from sumprod.bounds import (
     verify_level_pair_bound,
     verify_shift_overlap_bound,
 )
-from sumprod.errors import DuplicateY, NotRequired, ZeroShift
-from sumprod.field import make_prime
+from sumprod.errors import DuplicateY, NotRequired, SizeBudget, ZeroShift
+from sumprod.field import is_prime_u64, make_prime
 from sumprod.poly import UniPoly, is_permissible, is_required, parse_bipoly
-from sumprod.setops import value_set
-from sumprod.subgroup import coset_of, is_admitted, subgroup_of_order
+from sumprod.setops import sumset, value_set
+from sumprod.subgroup import coset_of, enumerate_subgroups, is_admitted, subgroup_of_order
 
 P13 = make_prime(13)
 G3 = subgroup_of_order(P13, 3)
@@ -189,7 +189,71 @@ def test_fiber_bound_not_permissible():
     assert "[0]" in v.premise_reason or "[1]" in v.premise_reason
 
 
+def _primes_around(d, edge, count):
+    """`count` primes p = 1 (mod d) on each side of the real number edge."""
+    below, above = [], []
+    k = int(edge) // d
+    while len(below) < count and k > 0:
+        if k * d + 1 < edge and is_prime_u64(k * d + 1):
+            below.append(k * d + 1)
+        k -= 1
+    k = int(edge) // d
+    while len(above) < count:
+        if k * d + 1 > edge and is_prime_u64(k * d + 1):
+            above.append(k * d + 1)
+        k += 1
+    return sorted(below) + above
+
+
+@pytest.mark.parametrize(
+    "m, orders",
+    [((1, 1), (17, 24, 60, 8732)), ((1, 1, 1), (65, 72)), ((2, 1), (4100,)), ((2, 2), (4104,))],
+)
+def test_fiber_bound_upper_window_is_exact(m, orders):
+    # |G| < c2 p^{1-1/(2n+1)} decided as |G|^{2n+1} (n+1)^{2n} (prod m)^2 < p^{2n},
+    # at primes on both sides of the edge; p = 253229 with |G| = 8732 comes
+    # within a relative 4.9e-8 of it, the closest such instance below 2*10^6
+    n = len(m)
+    for d in orders:
+        lhs = d ** (2 * n + 1) * (n + 1) ** (2 * n) * math.prod(m) ** 2
+        seen = set()
+        for p in _primes_around(d, lhs ** (1 / (2 * n)), 3):
+            G = subgroup_of_order(make_prime(p), d)
+            roots = iter(range(1, 2 * sum(m), 2))
+            fs = []
+            for mi in m:
+                f = UniPoly.from_list(p, [1])
+                for _ in range(mi):
+                    f = f * UniPoly.from_list(p, [next(roots), 1])
+                fs.append(f)
+            v = verify_fiber_bound(fs, [coset_of(1, G)] * n, G)
+            inside = lhs < p ** (2 * n)
+            seen.add(inside)
+            assert v.premise_ok == inside, (m, p, d)
+            assert v.premise_reason == ("" if inside else "subgroup-too-large"), (m, p, d)
+        assert seen == {True, False}
+
+
 # --- growth and extraction ----------------------------------------------------
+
+
+def test_growth_sizes_are_the_sumsets():
+    for p in (13, 31, 61, 97, 4294967311):
+        prime = make_prime(p)
+        for G in enumerate_subgroups(prime) if p < 100 else [subgroup_of_order(prime, 30)]:
+            if G.order < 2:
+                continue
+            gv = value_set(prime, G.elements)
+            r = probe_growth(G)
+            assert (r.sum_size, r.diff_size) == (len(sumset(gv, gv)), len(sumset(gv, gv, -1)))
+            assert type(r.sum_size) is int and type(r.diff_size) is int
+
+
+def test_growth_budget():
+    G = subgroup_of_order(P13, 12)
+    with pytest.raises(SizeBudget, match=r"^\|G\|\^2 = 144 exceeds budget 143$"):
+        probe_growth(G, max_pairs=143)
+    assert probe_growth(G, max_pairs=144).sum_size == 13
 
 
 def test_growth_example():

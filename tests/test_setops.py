@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sumprod import setops
 from sumprod.errors import (
     CosetCollision,
     LengthMismatch,
@@ -21,6 +23,7 @@ from sumprod.setops import (
     count_zero_pairs,
     fiber_set,
     image,
+    image_size,
     shift_intersection,
     sumset,
     value_set,
@@ -362,3 +365,125 @@ def test_image_across_chunks_is_the_subgroup(text):
     got = image(parse_bipoly(text, prime), VG2, VG2)
     assert got.members == G.elements
     assert _all_int(got)
+
+
+# --- the homogeneous coset reduction ------------------------------------------
+
+
+PRIMES_BELOW_100 = [p for p in range(3, 100) if all(p % q for q in range(2, p))]
+# forms that vanish on G (x-y, x^2-y^2, x^6-y^6; x^3+y^3 when G holds a cube
+# root of -1), degrees sharing a factor with |G| (gcd(n, |G|) > 1), a constant
+HOMOGENEOUS = ["x+y", "x-y", "x^2+y^2", "x^2-y^2", "x^3+y^3", "x^2+3*x*y+5*y^2",
+               "x^4+2*y^4", "x^3+x*y^2+4*y^3", "x^6-y^6", "2"]
+NON_HOMOGENEOUS = ["x*y+x+y", "x^2+y+1", "x^3+7*y^2+x*y+5"]
+
+
+def grid_values(P, G):
+    """Multiset of P(a, b) over G x G by nested P.eval loops."""
+    return Counter(P.eval(a, b) for a in G.elements for b in G.elements)
+
+
+def check_against_nested_loops(P, G):
+    vals = grid_values(P, G)
+    assert image_size(P, G) == len(vals)
+    assert count_zero_pairs(P, G) == vals[0]
+    p = G.p
+    # candidate levels grouped by G-coset (v^|G| names v's coset): every
+    # value P takes, plus a few it may miss
+    by_coset: dict[int, list[int]] = {}
+    for v in sorted((set(vals) | {v % p for v in (1, 2, 3, p - 2, p - 1)}) - {0}):
+        by_coset.setdefault(pow(v, G.order, p), []).append(v)
+    # one level per coset, at several places inside it, so that the cosets
+    # of the smaller H = {a^n : a in G} inside G are met as well
+    for j in range(3):
+        alphas = [vs[j % len(vs)] for vs in by_coset.values()]
+        pc = count_level_pairs(P, G, value_set(G.prime, alphas))
+        assert pc.per_level == {a: vals[a] for a in sorted(alphas)}
+        assert all(type(a) is int and type(t) is int for a, t in pc.per_level.items())
+
+
+def test_homogeneous_counts_match_nested_loops_below_100():
+    for p in PRIMES_BELOW_100:
+        prime = make_prime(p)
+        for G in enumerate_subgroups(prime):
+            for text in HOMOGENEOUS + NON_HOMOGENEOUS:
+                check_against_nested_loops(parse_bipoly(text, prime), G)
+
+
+@pytest.mark.parametrize("p", BOUNDARY_PRIMES)
+def test_homogeneous_counts_at_uint64_boundary(p):
+    prime = make_prime(p)
+    G = subgroup_of_order(prime, 10)
+    for text in ["x+%d*y" % (p - 1), "x^2+y^2", "x^5+y^5", "x^3+%d*x*y^2" % (p - 2)]:
+        P = parse_bipoly(text, prime)
+        check_against_nested_loops(P, G)
+        assert type(image_size(P, G)) is int and type(count_zero_pairs(P, G)) is int
+
+
+def test_vanishing_forms_count_their_zero_pairs():
+    prime = make_prime(13)
+    G12, G4 = subgroup_of_order(prime, 12), subgroup_of_order(prime, 4)
+    # x^2 - y^2 vanishes on b = +-a (2|G| pairs); x^3 + y^3 on b = c*a for the
+    # three cube roots c of -1, all in G12 = F_13*
+    assert count_zero_pairs(parse_bipoly("x^2-y^2", prime), G12) == 24
+    assert count_zero_pairs(parse_bipoly("x^3+y^3", prime), G12) == 36
+    # on G4 = {1, 5, 8, 12}, x^2 + y^2 vanishes at t = 5 and 8 (5^2 = -1)
+    assert count_zero_pairs(parse_bipoly("x^2+y^2", prime), G4) == 8
+    assert image_size(parse_bipoly("7", prime), G12) == 1
+
+
+def test_non_homogeneous_takes_the_grid(monkeypatch):
+    prime = make_prime(31)
+    G = subgroup_of_order(prime, 10)
+    expect = {text: grid_values(parse_bipoly(text, prime), G) for text in NON_HOMOGENEOUS}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the coset reduction ran on a non-homogeneous form")
+
+    monkeypatch.setattr(setops, "_homogeneous_keys", refuse)
+    alphas = value_set(prime, [1, 3])  # 3 is a generator mod 31: distinct cosets
+    for text, vals in expect.items():
+        P = parse_bipoly(text, prime)
+        assert image_size(P, G) == len(vals)
+        assert count_zero_pairs(P, G) == vals[0]
+        assert count_level_pairs(P, G, alphas).per_level == {1: vals[1], 3: vals[3]}
+    zero = parse_bipoly("0", prime)
+    assert image_size(zero, G) == 1
+    assert count_level_pairs(zero, G, alphas).total == 0
+
+
+def test_homogeneous_skips_the_grid(monkeypatch):
+    prime = make_prime(31)
+    G = subgroup_of_order(prime, 10)
+    P = parse_bipoly("x^2+3*x*y+5*y^2", prime)
+    vals = grid_values(P, G)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a homogeneous form was evaluated over G x G")
+
+    monkeypatch.setattr(setops, "_eval_grid", refuse)
+    assert image_size(P, G) == len(vals)
+    assert count_zero_pairs(P, G) == vals[0]
+    assert count_level_pairs(P, G, value_set(prime, [1, 3])).per_level == {1: vals[1], 3: vals[3]}
+
+
+def test_homogeneous_errors_keep_their_order():
+    G = subgroup_of_order(P13, 12)
+    P = parse_bipoly("x+y", P13)
+    with pytest.raises(SizeBudget, match=r"^\|A\|\*\|B\| = 144 exceeds budget 143$"):
+        image_size(P, G, max_pairs=143)
+    assert image_size(P, G, max_pairs=144) == 13
+    with pytest.raises(SizeBudget, match=r"^\|G\|\^2 = 144 exceeds budget 143$"):
+        count_level_pairs(P, G, value_set(P13, [1]), max_pairs=143)
+    # level checks come before the budget
+    with pytest.raises(ZeroLevel):
+        count_level_pairs(P, G, value_set(P13, [0]), max_pairs=1)
+    with pytest.raises(CosetCollision):
+        count_level_pairs(P, G3, value_set(P13, [2, 5]), max_pairs=1)
+    # an empty level list still meets the budget check first
+    with pytest.raises(SizeBudget):
+        count_level_pairs(P, G, value_set(P13, []), max_pairs=143)
+    # the homogeneous zero count enumerates one row only, so it has no budget
+    assert count_zero_pairs(parse_bipoly("x^2-y^2", P13), G, max_pairs=1) == 24
+    with pytest.raises(ValueError):
+        image_size(parse_bipoly("x+y", make_prime(31)), G)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -154,3 +156,26 @@ def test_partition_properties(data):
     assert part.zero_present == (0 in distinct)
     reps = [rep for rep, _ in part.rows]
     assert reps == sorted(reps)
+
+
+def _partition_per_value(values, G):
+    """The per-value definition: each value named by min(v*g) over G."""
+    p = G.p
+    by_rep: dict[int, set[int]] = {}
+    for v in values:
+        v %= p
+        if v:
+            by_rep.setdefault(min(v * g % p for g in G.elements), set()).add(v)
+    return tuple((rep, tuple(sorted(by_rep[rep]))) for rep in sorted(by_rep))
+
+
+def test_partition_matches_per_value_definition():
+    rng = random.Random(29)
+    for p in (3, 13, 31, 97, 211, 1009):
+        prime = make_prime(p)
+        for G in enumerate_subgroups(prime):
+            for _ in range(3):
+                values = [rng.randrange(-p, 2 * p) for _ in range(rng.randrange(0, 60))]
+                part = coset_partition(values, G)
+                assert part.rows == _partition_per_value(values, G), (p, G.order)
+                assert part.zero_present == any(v % p == 0 for v in values)

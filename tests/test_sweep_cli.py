@@ -179,6 +179,33 @@ def test_vm_alphas_in_distinct_cosets():
         assert len(set(reps)) == len(reps), inst
 
 
+def test_budget_records_keep_their_messages():
+    # |G|^2 = 144 > 100 at order 12; the homogeneous forms are counted in O(|G|)
+    # work but still answer to the pair budget, with the same messages
+    want = {
+        "t2": "budget: |A|*|B| = 144 exceeds budget 100",
+        "vm": "budget: |G|^2 = 144 exceeds budget 100",
+        "growth": "budget: |G|^2 = 144 exceeds budget 100",
+    }
+    for kind, reason in want.items():
+        cfg = SweepConfig.from_json({
+            "inequality": kind, "primes": [13], "orders": [3, 12],
+            "polys": ["x+y", "x*y+1"] if kind != "growth" else [],
+            "budgets": {"max_pairs": 100},
+        })
+        records = run_sweep(cfg)
+        over = [r for r in records if r["order"] == 12]
+        assert over and all(r["premise_reason"] == reason for r in over)
+        assert all(r["extra"] == {"error": "budget"} and r["lhs"] == 0 for r in over)
+        assert all(not r["premise_reason"].startswith("budget") for r in records if r["order"] == 3)
+
+
+def test_import_leaves_the_process_pool_out():
+    code = "import sys, sumprod, sumprod.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 # --- report emission ----------------------------------------------------------
 
 
