@@ -13,22 +13,20 @@ import dataclasses
 import json
 import sys
 
-from .bounds import (
-    ProbeConfig,
-    extract_permissible,
-    probe_factorization,
-    probe_growth,
-    verify_fiber_bound,
-    verify_image_lower_bound,
-    verify_level_pair_bound,
-    verify_shift_overlap_bound,
-)
+from .bounds import extract_permissible
 from .errors import WorkbenchError
-from .field import make_prime
-from .poly import UniPoly, is_good, is_required, parse_bipoly
-from .setops import image, value_set
-from .subgroup import coset_of, enumerate_subgroups, subgroup_of_order
-from .sweep import SweepConfig, write_sweep
+from .field import EXT_ELEMENT_BUDGET, make_prime
+from .poly import is_good, is_required, parse_bipoly
+from .setops import DEFAULT_MAX_PAIRS, image, value_set
+from .subgroup import enumerate_subgroups, subgroup_of_order
+from .sweep import SweepConfig, _subgroup, evaluate, write_sweep
+
+# the flags each verify kind needs, in the order a missing one is named
+_NEEDS = {"gv": ["mu"], "t2": ["poly"], "vm": ["poly", "alphas"], "thmap": ["fs", "cosets"]}
+# the factorization probe fields that `probe factorization` prints
+_FACTORIZATION_SHOWN = (
+    "image_size", "is_representation", "exponent_a", "exponent_b", "in_band", "min_q"
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -193,9 +191,8 @@ def _cmd_image(args) -> int:
 
 
 def _cmd_intersect_shift(args) -> int:
-    G = subgroup_of_order(make_prime(args.p), args.order)
-    v = verify_shift_overlap_bound(G, args.mu)
-    _print(_verdict_dict(v), args.format)
+    args.inequality = "gv"
+    _cmd_verify(args)
     return 0
 
 
@@ -215,68 +212,41 @@ def _cmd_extract_permissible(args) -> int:
     return 0
 
 
+def _evaluate(args, kind: str, **fields):
+    """sweep.evaluate on the instance of --p/--order and fields, at the
+    sweep's default budgets."""
+    budgets = {"max_pairs": DEFAULT_MAX_PAIRS, "ext_elements": EXT_ELEMENT_BUDGET}
+    return evaluate({"kind": kind, "p": args.p, "order": args.order, **budgets, **fields})
+
+
 def _cmd_verify(args) -> int:
-    prime = make_prime(args.p)
-    G = subgroup_of_order(prime, args.order)
-    if args.inequality == "gv":
-        _require(args, ["mu"])
-        v = verify_shift_overlap_bound(G, args.mu)
-    elif args.inequality == "t2":
-        _require(args, ["poly"])
-        v = verify_image_lower_bound(parse_bipoly(args.poly, prime), G)
-    elif args.inequality == "vm":
-        _require(args, ["poly", "alphas"])
-        v = verify_level_pair_bound(
-            parse_bipoly(args.poly, prime), G, value_set(prime, _int_list(args.alphas))
-        )
-    else:  # thmap
-        _require(args, ["fs", "cosets"])
-        fs = []
-        for text in args.fs.split(";"):
-            Q = parse_bipoly(text, prime)
-            if Q.deg_y > 0:
-                raise WorkbenchError(f"--fs entries must use only x: {text!r}")
-            fs.append(UniPoly(prime.p, {i: c for (i, _), c in Q.coeffs.items()}))
-        cosets = [coset_of(r, G) for r in _int_list(args.cosets)]
-        v = verify_fiber_bound(fs, cosets, G)
+    kind = args.inequality
+    _subgroup(args.p, args.order)  # a bad --p or --order is named before a missing flag
+    _require(args, _NEEDS[kind])
+    if kind == "gv":
+        v = _evaluate(args, kind, mu=args.mu)
+    elif kind == "thmap":
+        v = _evaluate(args, kind, poly=args.fs, coset_reps=_int_list(args.cosets))
+    elif kind == "vm":
+        v = _evaluate(args, kind, poly=args.poly, alphas=_int_list(args.alphas))
+    else:
+        v = _evaluate(args, kind, poly=args.poly)
     _print(_verdict_dict(v), args.format)
     return 2 if v.premise_ok and v.holds is False else 0
 
 
 def _cmd_probe(args) -> int:
-    prime = make_prime(args.p)
-    G = subgroup_of_order(prime, args.order)
+    _subgroup(args.p, args.order)
     if args.what == "growth":
-        g = probe_growth(G)
-        out = {
-            "order": g.order,
-            "sum_size": g.sum_size,
-            "diff_size": g.diff_size,
-            "sum_over_pow43": g.sum_over_pow43,
-            "diff_over_pow43": g.diff_over_pow43,
-            "sum_log_over_pow53": g.sum_log_over_pow53,
-            "diff_log_over_pow53": g.diff_log_over_pow53,
-            "sum_over_pow32": g.sum_over_pow32,
-            "diff_over_pow32": g.diff_over_pow32,
-        }
+        out = dataclasses.asdict(_evaluate(args, "growth"))
     else:
         if args.poly is None or args.A is None or args.B is None:
             raise WorkbenchError("probe factorization: need --poly, --A, --B")
-        pr = probe_factorization(
-            parse_bipoly(args.poly, prime),
-            value_set(prime, _int_list(args.A)),
-            value_set(prime, _int_list(args.B)),
-            G,
-            ProbeConfig(args.delta, args.epsilon),
+        A, B = _int_list(args.A), _int_list(args.B)
+        pr = _evaluate(
+            args, "probe", poly=args.poly, A=A, B=B, delta=args.delta, epsilon=args.epsilon
         )
-        out = {
-            "image_size": pr.image_size,
-            "is_representation": pr.is_representation,
-            "exponent_a": pr.exponent_a,
-            "exponent_b": pr.exponent_b,
-            "in_band": pr.in_band,
-            "min_q": pr.min_q,
-        }
+        out = {name: getattr(pr, name) for name in _FACTORIZATION_SHOWN}
     _print(out, args.format)
     return 0
 

@@ -75,10 +75,6 @@ class UniPoly:
         return cls(p, {0: c})
 
     @classmethod
-    def x(cls, p: int) -> "UniPoly":
-        return cls(p, {1: 1})
-
-    @classmethod
     def from_list(cls, p: int, low_first: Iterable[int]) -> "UniPoly":
         return cls(p, {i: c for i, c in enumerate(low_first)})
 
@@ -283,10 +279,6 @@ class BiPoly:
                     clean[(i, j)] = c
         self.coeffs = clean
         self._deg_cache: Optional[tuple] = None
-
-    @classmethod
-    def zero(cls, p: int) -> "BiPoly":
-        return cls(p)
 
     @classmethod
     def const(cls, p: int, c: int) -> "BiPoly":
@@ -498,12 +490,17 @@ class _Tokens:
         return tok
 
 
-def _cap_degree(poly: BiPoly, pos: int) -> BiPoly:
-    if poly.coeffs and poly.total_degree > PARSE_DEGREE_CAP:
+def _cap_degree(degree: int, pos: int) -> None:
+    """Reject an expansion past PARSE_DEGREE_CAP; pos is where it was found."""
+    if degree > PARSE_DEGREE_CAP:
         raise DegreeOverflow(
             f"expression expands past total degree {PARSE_DEGREE_CAP} (near position {pos})"
         )
-    return poly
+
+
+def _degree(poly: BiPoly) -> int:
+    """Total degree, with 0 (not -inf) for the zero polynomial."""
+    return poly.total_degree if poly.coeffs else 0
 
 
 def _parse_atom(toks: _Tokens, p: int) -> BiPoly:
@@ -530,14 +527,8 @@ def _parse_factor(toks: _Tokens, p: int) -> BiPoly:
         if kind2 != "int":
             raise ParseError("expected a nonnegative integer exponent", pos2)
         e = int(val2)
-        base_deg = base.total_degree if base.coeffs else 0
-        if isinstance(base_deg, float):
-            base_deg = 0
-        if base_deg * e > PARSE_DEGREE_CAP:
-            raise DegreeOverflow(
-                f"expression expands past total degree {PARSE_DEGREE_CAP} (near position {pos2})"
-            )
-        return _cap_degree(base.pow_int(e), pos2)
+        _cap_degree(_degree(base) * e, pos2)  # deg(base^e) = e * deg(base) exactly
+        return base.pow_int(e)
     return base
 
 
@@ -548,12 +539,7 @@ def _parse_term(toks: _Tokens, p: int) -> BiPoly:
         if kind == "op" and val == "*":
             toks.take()
             rhs = _parse_factor(toks, p)
-            da = acc.total_degree if acc.coeffs else 0
-            db = rhs.total_degree if rhs.coeffs else 0
-            if not isinstance(da, float) and not isinstance(db, float) and da + db > PARSE_DEGREE_CAP:
-                raise DegreeOverflow(
-                    f"expression expands past total degree {PARSE_DEGREE_CAP} (near position {pos})"
-                )
+            _cap_degree(_degree(acc) + _degree(rhs), pos)
             acc = acc * rhs
         else:
             return acc
@@ -579,7 +565,8 @@ def parse_bipoly(text: str, prime: Prime | int) -> BiPoly:
     kind, val, pos = toks.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing input {val!r}", pos)
-    return _cap_degree(poly, pos)
+    _cap_degree(_degree(poly), pos)
+    return poly
 
 
 # ----------------------------------------------------------------------

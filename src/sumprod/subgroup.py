@@ -67,15 +67,20 @@ def enumerate_subgroups(prime: Prime) -> list[Subgroup]:
     return [subgroup_of_order(prime, d) for d in divisors(prime.p - 1)]
 
 
-def is_admitted(G: Subgroup, n: int) -> bool:
-    """Size window for degree-n instances: 100 n^3 < |G| and |G| < sqrt(p)/3.
+def in_admitted_window(d: int, n: int, p: int) -> bool:
+    """Size window for degree-n instances: 100 n^3 < d and d < sqrt(p)/3.
 
     Both comparisons are exact on integers (the square root never gets
-    evaluated: the right inequality is 9 |G|^2 < p).
+    evaluated: the right inequality is 9 d^2 < p).
     """
+    return 100 * n**3 < d and 9 * d * d < p
+
+
+def is_admitted(G: Subgroup, n: int) -> bool:
+    """Whether |G| lies in the degree-n window (see in_admitted_window)."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    return 100 * n**3 < G.order and 9 * G.order**2 < G.p
+    return in_admitted_window(G.order, n, G.p)
 
 
 @dataclass(frozen=True)

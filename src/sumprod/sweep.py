@@ -1,5 +1,6 @@
 """Batch sweeps: enumerate instances from a config, verify them (optionally
-in parallel), and emit byte-stable JSONL/CSV reports.
+in parallel), and emit byte-stable JSONL/CSV reports.  `evaluate` runs one
+instance of any kind; `run_instance` turns its result into a record.
 
 Determinism contract: a config plus its seed pins the full instance list
 and every sampled value, so two runs differ in nothing — including worker
@@ -23,11 +24,14 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from typing import Any, Iterable, Iterator, Sequence
 
 from .bounds import (
+    FactorizationProbe,
+    GrowthReport,
     ProbeConfig,
+    Verdict,
     probe_factorization,
     probe_growth,
     verify_fiber_bound,
@@ -35,11 +39,11 @@ from .bounds import (
     verify_level_pair_bound,
     verify_shift_overlap_bound,
 )
-from .errors import BudgetExceeded, ConfigError, DegreeOverflow, ParseError
+from .errors import BudgetExceeded, ConfigError, DegreeOverflow, ParseError, WorkbenchError
 from .field import EXT_ELEMENT_BUDGET, Prime, divisors, is_prime_u64, make_prime
-from .poly import UniPoly, parse_bipoly
+from .poly import UniPoly, is_required, parse_bipoly
 from .setops import DEFAULT_MAX_PAIRS, value_set
-from .subgroup import Subgroup, coset_of, subgroup_of_order
+from .subgroup import Subgroup, coset_of, in_admitted_window, subgroup_of_order
 
 SCHEMA_VERSION = 1
 KINDS = ("t2", "vm", "gv", "thmap", "growth", "probe")
@@ -148,6 +152,14 @@ class SweepConfig:
                 raise ConfigError(f"polys[{i}]: {text!r}: {e}") from None
         if kind in ("t2", "vm", "probe") and not polys_raw:
             raise ConfigError(f"polys: {kind} sweeps need at least one expression")
+        if kind == "probe":  # a factor in one variable can appear mod p only
+            for i, text in enumerate(polys_raw):
+                for p in primes:
+                    P = parse_bipoly(text, p)
+                    if P.is_zero() or not is_required(P):
+                        raise ConfigError(
+                            f"polys[{i}]: {text!r} is zero or has a single-variable factor mod {p}"
+                        )
 
         params = data.get("params", {})
         if not isinstance(params, dict):
@@ -221,7 +233,7 @@ def _orders_for(cfg: SweepConfig, p: int) -> list[int]:
         picked = ds
     elif isinstance(cfg.orders, tuple) and cfg.orders and cfg.orders[0] == "admitted_for_n":
         n = cfg.orders[1]
-        picked = [d for d in ds if 100 * n**3 < d and 9 * d * d < p]
+        picked = [d for d in ds if in_admitted_window(d, n, p)]
     else:
         wanted = set(cfg.orders)
         picked = [d for d in ds if d in wanted]
@@ -265,6 +277,9 @@ def generate_instances(cfg: SweepConfig) -> list[dict]:
     """
     out: list[dict] = []
     kind = cfg.inequality
+    base = {
+        "kind": kind, "seed": cfg.seed, "max_pairs": cfg.max_pairs, "ext_elements": cfg.ext_elements
+    }
     for p in cfg.primes:
         for d in _orders_for(cfg, p):
             if kind == "gv":
@@ -275,12 +290,12 @@ def generate_instances(cfg: SweepConfig) -> list[dict]:
                 else:
                     mus = range(1, p)
                 for mu in mus:
-                    out.append({"kind": kind, "p": p, "order": d, "poly": "", "mu": mu})
+                    out.append({**base, "p": p, "order": d, "poly": "", "mu": mu})
             elif kind == "growth":
-                out.append({"kind": kind, "p": p, "order": d, "poly": ""})
+                out.append({**base, "p": p, "order": d, "poly": ""})
             elif kind == "t2":
                 for poly in cfg.polys:
-                    out.append({"kind": kind, "p": p, "order": d, "poly": poly})
+                    out.append({**base, "p": p, "order": d, "poly": poly})
             elif kind == "vm":
                 h = cfg.params.get("alpha_count", 1)
                 trials = cfg.params.get("alpha_sets", 1)
@@ -289,9 +304,7 @@ def generate_instances(cfg: SweepConfig) -> list[dict]:
                         rng = _rng(cfg, p, d, poly, "vm", t)
                         G = _subgroup(p, d)
                         alphas = _sample_distinct_coset_values(rng, G, h)
-                        out.append(
-                            {"kind": kind, "p": p, "order": d, "poly": poly, "alphas": alphas}
-                        )
+                        out.append({**base, "p": p, "order": d, "poly": poly, "alphas": alphas})
             elif kind == "thmap":
                 trials = cfg.params.get("pair_count", 1)
                 for t in range(trials):
@@ -300,18 +313,10 @@ def generate_instances(cfg: SweepConfig) -> list[dict]:
                     b = rng.randrange(1, p)
                     while b == a:
                         b = rng.randrange(1, p)
-                    shifts = sorted((a, b))
+                    lo, hi = sorted((a, b))
                     reps = [rng.randrange(1, p), rng.randrange(1, p)]
-                    out.append(
-                        {
-                            "kind": kind,
-                            "p": p,
-                            "order": d,
-                            "poly": f"x+{shifts[0]};x+{shifts[1]}",
-                            "shifts": shifts,
-                            "coset_reps": reps,
-                        }
-                    )
+                    poly = f"x+{lo};x+{hi}"
+                    out.append({**base, "p": p, "order": d, "poly": poly, "coset_reps": reps})
             elif kind == "probe":
                 size = cfg.params.get("set_size", 4)
                 trials = cfg.params.get("trials", 1)
@@ -324,22 +329,10 @@ def generate_instances(cfg: SweepConfig) -> list[dict]:
                         k = max(2, min(size, d))
                         A = sorted(rng.sample(G.elements, k))
                         B = sorted(rng.sample(G.elements, k))
-                        out.append(
-                            {
-                                "kind": kind,
-                                "p": p,
-                                "order": d,
-                                "poly": poly,
-                                "A": A,
-                                "B": B,
-                                "delta": delta,
-                                "epsilon": epsilon,
-                            }
-                        )
-    for inst in out:
-        inst["seed"] = cfg.seed
-        inst["max_pairs"] = cfg.max_pairs
-        inst["ext_elements"] = cfg.ext_elements
+                        out.append({
+                            **base, "p": p, "order": d, "poly": poly,
+                            "A": A, "B": B, "delta": delta, "epsilon": epsilon,
+                        })
     out.sort(key=_record_key)
     return out
 
@@ -381,88 +374,75 @@ def _base_record(inst: dict) -> dict:
     }
 
 
+def _univariates(text: str, prime: Prime) -> list[UniPoly]:
+    """The ';'-separated polynomials in x of a thmap instance (the CLI's --fs)."""
+    fs = []
+    for part in text.split(";"):
+        Q = parse_bipoly(part, prime)
+        if Q.deg_y > 0:
+            raise WorkbenchError(f"--fs entries must use only x: {part!r}")
+        fs.append(UniPoly(prime.p, {i: c for (i, _), c in Q.coeffs.items()}))
+    return fs
+
+
+def evaluate(inst: dict) -> Verdict | GrowthReport | FactorizationProbe:
+    """Check one instance with its kind's function from `bounds`.
+
+    This is the only place an instance meets those functions: sweep records
+    and `sumprod verify`/`probe` both come from its result.  BudgetExceeded
+    propagates; run_instance turns it into a `budget:` record.
+    """
+    kind = inst["kind"]
+    G = _subgroup(inst["p"], inst["order"])
+    if kind == "gv":
+        return verify_shift_overlap_bound(G, inst["mu"])
+    if kind == "growth":
+        return probe_growth(G, max_pairs=inst["max_pairs"])
+    prime = G.prime
+    if kind == "thmap":
+        fs = _univariates(inst["poly"], prime)
+        return verify_fiber_bound(fs, [coset_of(r, G) for r in inst["coset_reps"]], G)
+    P = parse_bipoly(inst["poly"], prime)
+    if kind == "probe":
+        A, B = value_set(prime, inst["A"]), value_set(prime, inst["B"])
+        probe = ProbeConfig(inst["delta"], inst["epsilon"])
+        return probe_factorization(P, A, B, G, probe, max_pairs=inst["max_pairs"])
+    budgets = {"max_pairs": inst["max_pairs"], "ext_budget": inst["ext_elements"]}
+    if kind == "t2":
+        return verify_image_lower_bound(P, G, **budgets)
+    if kind == "vm":
+        return verify_level_pair_bound(P, G, value_set(prime, inst["alphas"]), **budgets)
+    raise ConfigError(f"unknown kind {kind!r}")  # pragma: no cover - kinds are validated upstream
+
+
+# the fields of a growth or probe result that go into its record's "extra"
+_EXTRA_FIELDS = {
+    cls: tuple(f.name for f in fields(cls) if f.name not in ("p", "order"))
+    for cls in (GrowthReport, FactorizationProbe)
+}
+
+
 def run_instance(inst: dict) -> dict:
     """Verify one instance and return its flat record (top-level so process
     pools can pickle it).  Budget overruns become per-record errors."""
     rec = _base_record(inst)
-    p, d = inst["p"], inst["order"]
-    prime = _prime(p)
-    G = _subgroup(p, d)
-    kind = inst["kind"]
     try:
-        if kind == "gv":
-            v = verify_shift_overlap_bound(G, inst["mu"])
-        elif kind == "t2":
-            v = verify_image_lower_bound(
-                parse_bipoly(inst["poly"], prime),
-                G,
-                max_pairs=inst["max_pairs"],
-                ext_budget=inst["ext_elements"],
-            )
-        elif kind == "vm":
-            v = verify_level_pair_bound(
-                parse_bipoly(inst["poly"], prime),
-                G,
-                value_set(prime, inst["alphas"]),
-                max_pairs=inst["max_pairs"],
-                ext_budget=inst["ext_elements"],
-            )
-        elif kind == "thmap":
-            fs = [
-                UniPoly.from_list(p, [a % p, 1]) for a in inst["shifts"]
-            ]
-            cosets = [coset_of(r, G) for r in inst["coset_reps"]]
-            v = verify_fiber_bound(fs, cosets, G)
-        elif kind == "growth":
-            g = probe_growth(G, max_pairs=inst["max_pairs"])
-            rec["premise_ok"] = True
-            rec["extra"] = {
-                "sum_size": g.sum_size,
-                "diff_size": g.diff_size,
-                "sum_over_pow43": g.sum_over_pow43,
-                "diff_over_pow43": g.diff_over_pow43,
-                "sum_log_over_pow53": g.sum_log_over_pow53,
-                "diff_log_over_pow53": g.diff_log_over_pow53,
-                "sum_over_pow32": g.sum_over_pow32,
-                "diff_over_pow32": g.diff_over_pow32,
-            }
-            return rec
-        elif kind == "probe":
-            pr = probe_factorization(
-                parse_bipoly(inst["poly"], prime),
-                value_set(prime, inst["A"]),
-                value_set(prime, inst["B"]),
-                G,
-                ProbeConfig(inst["delta"], inst["epsilon"]),
-                max_pairs=inst["max_pairs"],
-            )
-            rec["premise_ok"] = True
-            rec["extra"] = {
-                "size_a": pr.size_a,
-                "size_b": pr.size_b,
-                "image_size": pr.image_size,
-                "is_representation": pr.is_representation,
-                "exponent_a": pr.exponent_a,
-                "exponent_b": pr.exponent_b,
-                "in_band": pr.in_band,
-                "delta": pr.delta,
-                "epsilon": pr.epsilon,
-                "min_q": pr.min_q,
-            }
-            return rec
-        else:  # pragma: no cover - configs are validated upstream
-            raise ConfigError(f"unknown kind {kind!r}")
+        r = evaluate(inst)
     except BudgetExceeded as e:
         rec["premise_reason"] = f"budget: {e}"
         rec["extra"] = {"error": "budget"}
         return rec
-    rec["premise_ok"] = v.premise_ok
-    rec["premise_reason"] = v.premise_reason
-    rec["lhs"] = v.lhs
-    rec["rhs"] = v.rhs
-    rec["holds"] = v.holds
-    rec["borderline"] = v.borderline
-    rec["ratio"] = v.ratio
+    if isinstance(r, Verdict):
+        rec["premise_ok"] = r.premise_ok
+        rec["premise_reason"] = r.premise_reason
+        rec["lhs"] = r.lhs
+        rec["rhs"] = r.rhs
+        rec["holds"] = r.holds
+        rec["borderline"] = r.borderline
+        rec["ratio"] = r.ratio
+    else:  # growth and probe report ratios only
+        rec["premise_ok"] = True
+        rec["extra"] = {name: getattr(r, name) for name in _EXTRA_FIELDS[type(r)]}
     return rec
 
 
@@ -471,21 +451,25 @@ def _block_results(fn, cfg: SweepConfig, jobs: int | None) -> Iterator[Iterator]
     """fn over contiguous blocks of the sorted instance list, in block order.
 
     The instances are generated on entry, so a config that cannot be
-    enumerated fails before the caller opens any output.  Each worker gets
+    enumerated fails before the caller opens any output.  The pool starts
+    no more workers than there are blocks or CPUs, and each worker gets
     about eight blocks; with one worker the blocks run in this process.
     Leaving the context early cancels the blocks not yet started.
     """
+    if jobs is not None and not (isinstance(jobs, int) and jobs >= 1):
+        raise ConfigError(f"jobs: need a positive integer, got {jobs!r}")
     instances = generate_instances(cfg)
-    n_jobs = jobs if jobs is not None else cfg.jobs
-    size = max(1, len(instances) // (max(n_jobs, 1) * 8))
+    workers = min(cfg.jobs if jobs is None else jobs, os.cpu_count() or 1)
+    size = max(1, len(instances) // (workers * 8))
     blocks = [instances[i : i + size] for i in range(0, len(instances), size)]
-    if n_jobs <= 1 or len(blocks) < 2:
+    workers = min(workers, len(blocks))
+    if workers <= 1:
         yield map(fn, blocks)
         return
     # imported here: a serial sweep never pays for the pool machinery
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         results = pool.map(fn, blocks)
         try:
             yield results

@@ -78,6 +78,19 @@ def test_degree_cap():
         parse_bipoly("x^9*y^9", P13)
 
 
+def test_degree_cap_messages_and_positions():
+    cases = {"x^17": 2, "(x+y)^17": 6, "x^9*y^9": 3, "x^8*x^8*x": 7}
+    for text, pos in cases.items():
+        with pytest.raises(DegreeOverflow) as exc:
+            parse_bipoly(text, P13)
+        want = f"expression expands past total degree 16 (near position {pos})"
+        assert str(exc.value) == want
+    # a zero factor has degree 0 here, never -inf
+    assert parse_bipoly("(x-x)^99", P13).is_zero()
+    assert parse_bipoly("0*x^16*x^16", P13).is_zero()
+    assert parse_bipoly("13*x^16*y", P13).is_zero()
+
+
 @st.composite
 def random_bipoly(draw):
     p = draw(st.sampled_from([3, 5, 13, 101]))

@@ -8,9 +8,9 @@ import pytest
 
 from sumprod import sweep
 from sumprod.cli import main
-from sumprod.errors import ConfigError
-from sumprod.field import make_prime
-from sumprod.subgroup import coset_of, subgroup_of_order
+from sumprod.errors import ConfigError, WorkbenchError
+from sumprod.field import divisors, make_prime
+from sumprod.subgroup import coset_of, in_admitted_window, subgroup_of_order
 from sumprod.sweep import (
     CSV_COLUMNS,
     SweepConfig,
@@ -423,7 +423,8 @@ def test_cli_bad_params_exit_1_no_output(tmp_path, capsys):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_cli_sweep_error_leaves_no_output(tmp_path, capsys, jobs):
-    # x*y fails the probe's premise check inside the sweep, not at load time
+    # x*y has a single-variable factor, so the config is rejected when it
+    # loads (test_cli_sweep_error_mid_run_leaves_no_output fails a block)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(
         {"inequality": "probe", "primes": [13, 31], "polys": ["x+y", "x*y"]}
@@ -433,6 +434,178 @@ def test_cli_sweep_error_leaves_no_output(tmp_path, capsys, jobs):
     assert rc == 1
     assert "single-variable factor" in capsys.readouterr().err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cli_sweep_error_mid_run_leaves_no_output(tmp_path, capsys, monkeypatch, jobs):
+    # the p = 13 blocks are written before a p = 31 block raises; the pool's
+    # forked workers inherit the patched evaluate
+    real = sweep.evaluate
+
+    def fail_at_31(inst):
+        if inst["p"] == 31:
+            raise WorkbenchError("planted failure")
+        return real(inst)
+
+    monkeypatch.setattr(sweep, "evaluate", fail_at_31)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"inequality": "gv", "primes": [13, 31], "orders": "all"}))
+    out_path = tmp_path / "out.jsonl"
+    rc = main(["sweep", "--config", str(cfg_path), "--jobs", str(jobs), "--out", str(out_path)])
+    assert rc == 1
+    assert "planted failure" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_probe_config_rejects_single_variable_factor_at_every_prime():
+    def load(primes, polys):
+        return SweepConfig.from_json({"inequality": "probe", "primes": primes, "polys": polys})
+
+    with pytest.raises(ConfigError) as exc:
+        load([13], ["x*y"])
+    assert str(exc.value) == "polys[0]: 'x*y' is zero or has a single-variable factor mod 13"
+    # x*y + 13 is x*y mod 13 only, so it loads wherever 13 is not listed
+    load([31, 61], ["x+y", "x*y+13"])
+    with pytest.raises(ConfigError) as exc:
+        load([61, 13, 31], ["x+y", "x*y+13"])
+    assert str(exc.value).startswith("polys[1]: 'x*y+13' ") and str(exc.value).endswith("mod 13")
+    with pytest.raises(ConfigError) as exc:
+        load([13, 31], ["13*x+13*y"])  # the zero polynomial mod 13
+    assert str(exc.value).endswith("mod 13")
+
+
+def test_admitted_orders_use_the_subgroup_window():
+    p = 92921  # 9 * 101^2 < p and 101 | p - 1
+    cfg = SweepConfig.from_json({
+        "inequality": "t2", "primes": [p], "orders": {"admitted_for_n": 1}, "polys": ["x+y"],
+    })
+    want = [d for d in divisors(p - 1) if in_admitted_window(d, 1, p)]
+    assert want == [101]
+    assert [inst["order"] for inst in generate_instances(cfg)] == want
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker is ever started."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, blocks):
+        return (fn(block) for block in blocks)
+
+
+@pytest.mark.parametrize(
+    "cpus, config, workers",
+    [
+        (64, gv_config(primes=[5, 7]), [36]),  # 36 one-instance blocks
+        (3, gv_config(primes=[5, 7]), [3]),
+        (None, gv_config(primes=[5, 7]), []),  # unknown CPU count: run serially
+        (64, SweepConfig.from_json({"inequality": "growth", "primes": [5], "orders": [2]}), []),
+    ],
+)
+def test_pool_starts_no_more_workers_than_blocks_or_cpus(monkeypatch, cpus, config, workers):
+    import concurrent.futures
+
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    records = run_sweep(config, jobs=5000)
+    assert _RecordingPool.started == workers
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert records == run_sweep(config, jobs=1)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_rejects_nonpositive_jobs(tmp_path, capsys, jobs):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"inequality": "gv", "primes": [5, 7], "orders": "all"}))
+    out_path = tmp_path / "out.jsonl"
+    rc = main(["sweep", "--config", str(cfg_path), "--jobs", jobs, "--out", str(out_path)])
+    assert rc == 1
+    assert f"jobs: need a positive integer, got {jobs}" in capsys.readouterr().err
+    assert not out_path.exists()
+    with pytest.raises(ConfigError):
+        run_sweep(gv_config(), jobs=int(jobs))
+
+
+# one small config per kind; every instance's CLI output must match its record
+PARITY_CONFIGS = {
+    "gv": {"inequality": "gv", "primes": [191], "orders": [2, 38], "params": {"mu_sample": 4}},
+    "t2": {"inequality": "t2", "primes": [92921], "orders": [4, 101],
+           "polys": ["x+y", "x*y+1", "x^2-y^2"]},
+    "vm": {"inequality": "vm", "primes": [92921], "orders": [4, 101],
+           "polys": ["x+y", "x^2+y^2"], "params": {"alpha_count": 2}},
+    "thmap": {"inequality": "thmap", "primes": [443], "orders": "all"},
+    "growth": {"inequality": "growth", "primes": [13, 31], "orders": "all"},
+    "probe": {"inequality": "probe", "primes": [13], "orders": "all",
+              "polys": ["x+y", "x^2+3*y^2"], "params": {"delta": 0.2, "epsilon": 0.3}},
+}
+
+
+def _cli_argv(inst: dict) -> list[str]:
+    """The verify/probe command line that describes a sweep instance."""
+    kind = inst["kind"]
+    ints = lambda xs: ",".join(map(str, xs))  # noqa: E731
+    common = ["--p", str(inst["p"]), "--order", str(inst["order"]), "--format", "json"]
+    if kind == "growth":
+        return ["probe", "growth", *common]
+    if kind == "probe":
+        return ["probe", "factorization", *common, "--poly", inst["poly"],
+                "--A", ints(inst["A"]), "--B", ints(inst["B"]),
+                "--delta", repr(inst["delta"]), "--epsilon", repr(inst["epsilon"])]
+    if kind == "gv":
+        return ["verify", kind, *common, "--mu", str(inst["mu"])]
+    if kind == "thmap":
+        return ["verify", kind, *common, "--fs", inst["poly"], "--cosets", ints(inst["coset_reps"])]
+    argv = ["verify", kind, *common, "--poly", inst["poly"]]
+    return argv + ["--alphas", ints(inst["alphas"])] if kind == "vm" else argv
+
+
+@pytest.mark.parametrize("kind", sorted(PARITY_CONFIGS))
+def test_cli_prints_what_the_sweep_records(capsys, kind):
+    instances = generate_instances(SweepConfig.from_json(PARITY_CONFIGS[kind]))
+    assert instances
+    met = 0
+    for inst in instances:
+        rec = sweep.run_instance(inst)
+        rc = main(_cli_argv(inst))
+        out = json.loads(capsys.readouterr().out)
+        if kind == "growth":
+            assert rc == 0 and out == {"order": rec["order"], **rec["extra"]}
+        elif kind == "probe":
+            assert rc == 0 and len(out) == 6 and out.items() <= rec["extra"].items()
+        else:
+            premise = "met" if rec["premise_ok"] else f"not-met({rec['premise_reason']})"
+            fields = ("lhs", "rhs", "holds", "borderline", "ratio")
+            assert out == {"inequality": kind, "premise": premise, **{k: rec[k] for k in fields}}
+            assert rc == (2 if rec["premise_ok"] and rec["holds"] is False else 0)
+            met += rec["premise_ok"]
+    assert met or kind in ("growth", "probe", "thmap", "vm")
+
+
+def test_thmap_instances_carry_their_shifts_in_the_poly_text():
+    cfg = SweepConfig.from_json(PARITY_CONFIGS["thmap"])
+    for inst in generate_instances(cfg):
+        assert "shifts" not in inst
+        fs = sweep._univariates(inst["poly"], make_prime(inst["p"]))
+        assert [f.coeffs for f in fs] == [
+            {0: int(part[2:]), 1: 1} for part in inst["poly"].split(";")
+        ]
+
+
+def test_fs_entries_must_use_only_x():
+    with pytest.raises(WorkbenchError) as exc:
+        sweep._univariates("x+1;x*y", make_prime(13))
+    assert str(exc.value) == "--fs entries must use only x: 'x*y'"
 
 
 def _thmap_trial_polys(cfg, p, d, trials):
