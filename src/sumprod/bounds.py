@@ -124,6 +124,19 @@ def _verdict(inequality: str, reason: str, lhs: int, rhs: float, direction: str,
     return Verdict(inequality, reason == "", reason, lhs, rhs, holds, borderline, ratio)
 
 
+def _good_admitted_premise(P: BiPoly, G: Subgroup, n: int, ext_budget: int) -> str:
+    """The first failing clause of "P of degree n >= 1 is good and G is
+    admitted for n", or "" when both hold."""
+    if n < 1:
+        return "not-good: constant"
+    good = is_good(P, ext_budget=ext_budget)
+    if not good:
+        return f"not-good: {good.reason}"
+    if not is_admitted(G, n):
+        return "not-admitted"
+    return ""
+
+
 def verify_image_lower_bound(
     P: BiPoly,
     G: Subgroup,
@@ -133,15 +146,7 @@ def verify_image_lower_bound(
 ) -> Verdict:
     """|P(G, G)| > c(n) * |G|^{3/2} for good P and an admitted subgroup."""
     n = max(P.total_degree, 0)
-    reason = ""
-    if n < 1:
-        reason = "not-good: constant"
-    else:
-        good = is_good(P, ext_budget=ext_budget)
-        if not good:
-            reason = f"not-good: {good.reason}"
-        elif not is_admitted(G, n):
-            reason = "not-admitted"
+    reason = _good_admitted_premise(P, G, n, ext_budget)
     lhs = image_size(P, G, max_pairs=max_pairs)
     denom = G.order**1.5
     c = image_bound_constants(max(n, 1)).c
@@ -164,17 +169,9 @@ def verify_level_pair_bound(
     """
     n = max(P.total_degree, 0)
     h = len(alphas)
-    reason = ""
-    if n < 1:
-        reason = "not-good: constant"
-    else:
-        good = is_good(P, ext_budget=ext_budget)
-        if not good:
-            reason = f"not-good: {good.reason}"
-        elif not is_admitted(G, n):
-            reason = "not-admitted"
-        elif not h * 40**3 * n**9 < G.order**2:
-            reason = "level-count-bound"
+    reason = _good_admitted_premise(P, G, n, ext_budget)
+    if not reason and not h * 40**3 * n**9 < G.order**2:
+        reason = "level-count-bound"
     lhs = count_level_pairs(P, G, alphas, max_pairs=max_pairs).total
     denom = G.order ** (2 / 3)
     c1 = image_bound_constants(max(n, 1)).c1

@@ -4,7 +4,11 @@ Primes are certified at construction (deterministic Miller-Rabin, valid for
 the whole supported 64-bit range), so everything downstream may assume
 primality without re-checking.  Extension fields are table-driven: elements
 are integer codes 0..p^d-1 encoding coefficient vectors in base p, with
-exp/log tables for multiplication and digit-wise addition.  Each field also
+exp/log tables for multiplication and digit-wise addition.  Every F_{p^d},
+d = 1 included, is reduced by its lexicographically smallest monic primitive
+polynomial f, so t = x mod f generates the multiplicative group and the exp
+table is the walk 1, t, t^2, ... built by multiplying by t; no other
+polynomial arithmetic is needed to construct a field.  Each field also
 carries numpy tables of the base-p digits of x^k and of the F_p-linear maps
 "multiply by x^k" at every code x (k <= 4), so the exhaustive factor search
 in `poly` evaluates all candidates of one field in a few array operations.
@@ -206,13 +210,20 @@ def divisors(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _cofactors(m: int) -> tuple[int, ...]:
+    """m // r for each prime r dividing m: in a group of order m, x is a
+    generator iff x^c != 1 for every such c."""
+    return tuple(m // r for r in prime_factors(m))
+
+
+def _is_primitive_root(g: int, p: int) -> bool:
+    """g mod p generates F_p^*."""
+    return g % p != 0 and all(pow(g, c, p) != 1 for c in _cofactors(p - 1))
+
+
+@lru_cache(maxsize=None)
 def _primitive_root_int(p: int) -> int:
-    phi = p - 1
-    checks = [phi // q for q in prime_factors(phi)]
-    for g in range(2, p):
-        if all(pow(g, c, p) != 1 for c in checks):
-            return g
-    raise AssertionError("unreachable: every prime has a primitive root")
+    return next(g for g in range(2, p) if _is_primitive_root(g, p))
 
 
 def primitive_root(prime: Prime) -> FieldElement:
@@ -237,98 +248,52 @@ def dlog_table(prime: Prime) -> list[int]:
     return table
 
 
-# ----------------------------------------------------------------------
-# dense univariate helpers over F_p (coefficient lists, low degree first);
-# only used to construct extension fields.
+def _smallest_primitive(p: int, d: int) -> tuple[tuple[int, ...], list[int]]:
+    """The lexicographically smallest monic primitive f of degree d over F_p,
+    coefficients compared low degree first, and the exp table of t = x mod f.
 
-
-def _l_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _l_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    # reduce by the monic modulus
-    d = len(mod) - 1
-    for i in range(len(res) - 1, d - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for j in range(d):
-                res[i - d + j] = (res[i - d + j] - c * mod[j]) % p
-    return _l_trim(res)
-
-
-def _l_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = list(a)
-    while e:
-        if e & 1:
-            result = _l_mulmod(result, base, mod, p)
-        base = _l_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _l_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        # a mod b
-        inv_lead = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            c = a[-1] * inv_lead % p
-            shift = len(a) - len(b)
-            for j, bj in enumerate(b):
-                a[shift + j] = (a[shift + j] - c * bj) % p
-            _l_trim(a)
-            if not a:
-                break
-        a, b = b, a
-    return a
-
-
-def _l_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _l_trim(out)
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin test for a monic univariate f of degree >= 1 over F_p."""
-    d = len(f) - 1
-    x = [0, 1]
-    if _l_sub(_l_powmod(x, p**d, f, p), x, p):
-        return False
-    for r in prime_factors(d):
-        diff = _l_sub(_l_powmod(x, p ** (d // r), f, p), x, p)
-        g = _l_gcd(list(f), diff, p) if diff else list(f)
-        if len(g) != 1:
-            return False
-    return True
+    Multiplying a code by t shifts its digits up one place and folds the top
+    digit c back in as -c * (f_0, ..., f_{d-1}), mod p.  Since f(0) != 0 this
+    permutes the nonzero codes, so the walk 1, t, t^2, ... returns to 1; f is
+    primitive iff that takes exactly q - 1 steps, and then the walk is the
+    exp table.  The norm of t, (-1)^d f(0), must generate F_p^*, so other
+    candidates are skipped without a walk.
+    """
+    q = p**d
+    place = p ** np.arange(d, dtype=np.int64)
+    digits = np.arange(q, dtype=np.int64)[:, None] // place % p  # [code, r]
+    top = digits[:, -1:]
+    shifted = np.roll(digits, 1, axis=1)
+    shifted[:, 0] = 0
+    for low in itertools.product(range(p), repeat=d):
+        if not _is_primitive_root((-1) ** d * low[0], p):
+            continue
+        succ = ((shifted - top * np.array(low)) % p @ place).tolist()
+        exp = [1]
+        code = succ[1]
+        while code != 1:
+            exp.append(code)
+            code = succ[code]
+        if len(exp) == q - 1:
+            return low + (1,), exp
+    raise AssertionError("unreachable: primitive polynomials of every degree exist")
 
 
 class ExtField:
     """F_{p^d} with element codes 0..q-1 (base-p coefficient digits).
 
-    The reducing modulus is the lexicographically smallest monic irreducible
-    of degree d, coefficients compared low degree first, so the field is a
-    deterministic function of (p, d).  Multiplication runs on exp/log tables;
-    addition works on base-p digits.
+    The reducing modulus is the lexicographically smallest monic primitive
+    polynomial of degree d, coefficients compared low degree first, so the
+    field is a deterministic function of (p, d) and t = x mod f generates
+    its multiplicative group (the convention behind Conway polynomials).
+    One construction serves every d: for d = 1 the modulus is x + c with -c
+    a primitive root, and codes are plain residues.  Multiplication runs on
+    exp/log tables, exp[k] = t^k; addition works on base-p digits.
 
     Two numpy tables serve batched evaluation, for k <= 4:
     `power_digits[k, :, x]` holds the d digits of x^k, and
     `power_matrices[x, :, k, :]` is the d*d matrix over F_p of multiplication
-    by x^k on digit vectors (column e is x^k * t^e, t the generator of the
-    power basis).  Entries lie in [0, p).
+    by x^k on digit vectors (column e is x^k * t^e).  Entries lie in [0, p).
     """
 
     def __init__(self, prime: Prime, d: int, budget: int = EXT_ELEMENT_BUDGET):
@@ -342,18 +307,12 @@ class ExtField:
         self.p = p
         self.d = d
         self.q = q
-        self.modulus = self._smallest_irreducible(p, d)
-        self._build_tables()
-
-    @staticmethod
-    def _smallest_irreducible(p: int, d: int) -> tuple[int, ...]:
-        if d == 1:
-            return (0, 1)  # x itself: F_p[x]/(x) = F_p, codes are residues
-        for low in itertools.product(range(p), repeat=d):
-            f = list(low) + [1]
-            if any(low) and _is_irreducible(f, p):
-                return tuple(f)
-        raise AssertionError("unreachable: irreducibles of every degree exist")
+        self.modulus, self.exp = _smallest_primitive(p, d)
+        log = np.full(q, -1, dtype=np.int64)
+        log[self.exp] = np.arange(q - 1)
+        self.log = log.tolist()
+        self.gen = self.exp[1]
+        self._build_power_tables()
 
     # -- element codecs ------------------------------------------------
 
@@ -378,48 +337,6 @@ class ExtField:
 
     # -- table construction --------------------------------------------
 
-    def _mul_coeffwise(self, a: int, b: int) -> int:
-        pa = _l_trim(list(self.coeffs_of(a)))
-        pb = _l_trim(list(self.coeffs_of(b)))
-        return self.code_of(_l_mulmod(pa, pb, list(self.modulus), self.p))
-
-    def _build_tables(self):
-        p, q = self.p, self.q
-        if self.d == 1:
-            g = _primitive_root_int(p)
-            exp = [1] * (q - 1)
-            for k in range(1, q - 1):
-                exp[k] = exp[k - 1] * g % p
-        else:
-            checks = [(q - 1) // r for r in prime_factors(q - 1)]
-            g = None
-            for cand in range(p, q):  # codes < p are base-field, never generators for d >= 2
-                ok = True
-                for c in checks:
-                    acc, base, e = 1, cand, c
-                    while e:
-                        if e & 1:
-                            acc = self._mul_coeffwise(acc, base)
-                        base = self._mul_coeffwise(base, base)
-                        e >>= 1
-                    if acc == 1:
-                        ok = False
-                        break
-                if ok:
-                    g = cand
-                    break
-            assert g is not None
-            exp = [1] * (q - 1)
-            for k in range(1, q - 1):
-                exp[k] = self._mul_coeffwise(exp[k - 1], g)
-        log = [-1] * q
-        for k, v in enumerate(exp):
-            log[v] = k
-        self.gen = exp[1] if q > 2 else 1
-        self.exp = exp
-        self.log = log
-        self._build_power_tables()
-
     def _build_power_tables(self):
         p, q, d = self.p, self.q, self.d
         exp = np.array(self.exp, dtype=np.int64)
@@ -441,31 +358,25 @@ class ExtField:
 
     # -- arithmetic on codes --------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        if self.d == 1:
-            return (a + b) % self.p
+    def _digitwise(self, a: int, b: int, sign: int) -> int:
+        """Code of a + sign * b, added digit by digit mod p."""
         p = self.p
         out, mult = 0, 1
         for _ in range(self.d):
             a, ra = divmod(a, p)
             b, rb = divmod(b, p)
-            out += ((ra + rb) % p) * mult
+            out += (ra + sign * rb) % p * mult
             mult *= p
         return out
 
-    def neg(self, a: int) -> int:
-        if self.d == 1:
-            return (-a) % self.p
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.d):
-            a, ra = divmod(a, p)
-            out += (-ra) % p * mult
-            mult *= p
-        return out
+    def add(self, a: int, b: int) -> int:
+        return self._digitwise(a, b, 1)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._digitwise(a, b, -1)
+
+    def neg(self, a: int) -> int:
+        return self._digitwise(0, a, -1)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

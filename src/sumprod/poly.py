@@ -400,14 +400,6 @@ class BiPoly:
             out[j] = (out.get(j, 0) + v) % p
         return UniPoly(p, out)
 
-    def axis_x(self) -> UniPoly:
-        """P(x, 0)."""
-        return UniPoly(self.p, {i: c for (i, j), c in self.coeffs.items() if j == 0})
-
-    def axis_y(self) -> UniPoly:
-        """P(0, y)."""
-        return UniPoly(self.p, {j: c for (i, j), c in self.coeffs.items() if i == 0})
-
     def coeff_of_x_power(self, i0: int) -> UniPoly:
         """The coefficient of x^i0, a univariate in y."""
         return UniPoly(self.p, {j: c for (i, j), c in self.coeffs.items() if i == i0})
@@ -821,7 +813,7 @@ def is_good(P: BiPoly, *, ext_budget: int = EXT_ELEMENT_BUDGET) -> GoodCheck:
         return GoodCheck(False, "not-homogeneous")
     if not abs_irreducible_shift(P, 1, ext_budget=ext_budget):
         return GoodCheck(False, "reducible-shift")
-    if P.axis_x().is_zero() and P.axis_y().is_zero():
+    if P.coeff_of_y_power(0).is_zero() and P.coeff_of_x_power(0).is_zero():
         return GoodCheck(False, "vanishing-axes")
     return GoodCheck(True, None)
 

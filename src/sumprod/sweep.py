@@ -83,6 +83,11 @@ _PARAMS = {
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: Python counts bools as ints, a config must not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Validated sweep description; build one with from_json/from_file."""
@@ -107,17 +112,16 @@ class SweepConfig:
 
         primes_raw = data.get("primes")
         if isinstance(primes_raw, dict):
-            try:
-                start, stop = int(primes_raw["start"]), int(primes_raw["stop"])
-            except (KeyError, TypeError, ValueError) as e:
-                raise ConfigError(f"primes: need integer start/stop ({e})") from None
+            start, stop = primes_raw.get("start"), primes_raw.get("stop")
+            if not (_is_int(start) and _is_int(stop)):
+                raise ConfigError(f"primes: need integer start/stop, got {start!r}/{stop!r}")
             if not 3 <= start <= stop:
                 raise ConfigError("primes: need 3 <= start <= stop")
             primes = tuple(n for n in range(start | 1, stop + 1, 2) if is_prime_u64(n))
         elif isinstance(primes_raw, list) and primes_raw:
             primes = []
             for i, v in enumerate(primes_raw):
-                if not isinstance(v, int) or not is_prime_u64(v) or v < 3:
+                if not _is_int(v) or not is_prime_u64(v) or v < 3:
                     raise ConfigError(f"primes[{i}]: {v!r} is not an odd prime")
                 primes.append(v)
             primes = tuple(sorted(set(primes)))
@@ -129,12 +133,12 @@ class SweepConfig:
             orders: Any = "all"
         elif isinstance(orders_raw, list) and orders_raw:
             for i, v in enumerate(orders_raw):
-                if not isinstance(v, int) or v < 1:
+                if not _is_int(v) or v < 1:
                     raise ConfigError(f"orders[{i}]: {v!r} is not a positive integer")
             orders = tuple(sorted(set(orders_raw)))
         elif isinstance(orders_raw, dict) and set(orders_raw) == {"admitted_for_n"}:
             n = orders_raw["admitted_for_n"]
-            if not isinstance(n, int) or n < 1:
+            if not _is_int(n) or n < 1:
                 raise ConfigError("orders.admitted_for_n: need a positive integer")
             orders = ("admitted_for_n", n)
         else:
@@ -172,27 +176,27 @@ class SweepConfig:
                 raise ConfigError(f"params.{name}: not a {kind} parameter (known: {known})")
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"params.{name}: need a number, got {value!r}")
-            if rule == "count" and not (isinstance(value, int) and value >= 1):
+            if rule == "count" and not (_is_int(value) and value >= 1):
                 raise ConfigError(f"params.{name}: need a positive integer, got {value!r}")
             if rule == "fraction" and not 0 < value < 1:
                 raise ConfigError(f"params.{name}: need a number in (0, 1), got {value!r}")
 
         seed = data.get("seed", 0)
-        if not isinstance(seed, int) or not 0 <= seed < 2**64:
+        if not _is_int(seed) or not 0 <= seed < 2**64:
             raise ConfigError("seed: need an integer in [0, 2^64)")
 
         budgets = data.get("budgets", {})
         if not isinstance(budgets, dict):
             raise ConfigError("budgets: must be an object")
         max_pairs = budgets.get("max_pairs", DEFAULT_MAX_PAIRS)
-        if not isinstance(max_pairs, int) or max_pairs < 1:
+        if not _is_int(max_pairs) or max_pairs < 1:
             raise ConfigError("budgets.max_pairs: need a positive integer")
         ext_elements = budgets.get("ext_elements", EXT_ELEMENT_BUDGET)
-        if not isinstance(ext_elements, int) or ext_elements < 2:
+        if not _is_int(ext_elements) or ext_elements < 2:
             raise ConfigError("budgets.ext_elements: need an integer >= 2")
 
         jobs = data.get("jobs", 1)
-        if not isinstance(jobs, int) or jobs < 1:
+        if not _is_int(jobs) or jobs < 1:
             raise ConfigError("jobs: need a positive integer")
 
         return SweepConfig(
@@ -456,7 +460,7 @@ def _block_results(fn, cfg: SweepConfig, jobs: int | None) -> Iterator[Iterator]
     about eight blocks; with one worker the blocks run in this process.
     Leaving the context early cancels the blocks not yet started.
     """
-    if jobs is not None and not (isinstance(jobs, int) and jobs >= 1):
+    if jobs is not None and not (_is_int(jobs) and jobs >= 1):
         raise ConfigError(f"jobs: need a positive integer, got {jobs!r}")
     instances = generate_instances(cfg)
     workers = min(cfg.jobs if jobs is None else jobs, os.cpu_count() or 1)

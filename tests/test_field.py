@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -111,10 +113,11 @@ def test_divisors_divide(n):
 
 
 def test_ext_field_nine():
-    # canonical modulus for the 9-element field is x^2 + 1
+    # the modulus is the smallest monic primitive quadratic over F_3, x^2 + x + 2:
+    # x^2 + 1 is irreducible, but x has order 4 modulo it, not 8
     F = ext_field(3, 2)
     assert F.q == 9
-    assert F.modulus == (1, 0, 1)
+    assert F.modulus == (2, 1, 1)
     for code in range(9):
         coeffs = F.coeffs_of(code)
         assert len(coeffs) == 2 and all(0 <= c < 3 for c in coeffs)
@@ -141,6 +144,17 @@ def test_ext_field_prime_degree_one_is_plain_residues():
     assert F.q == 13
     assert F.mul(6, 7) == 42 % 13
     assert F.add(6, 7) == 0
+
+
+@pytest.mark.parametrize("p, d", [(13, 1), (3, 2), (5, 3)])
+def test_ext_field_sub_and_neg_are_digitwise(p, d):
+    F = ext_field(p, d)
+    for a in range(0, F.q, max(1, F.q // 40)):
+        da = F.coeffs_of(a)
+        assert F.coeffs_of(F.neg(a)) == tuple(-c % p for c in da)
+        for b in range(F.q):
+            db = F.coeffs_of(b)
+            assert F.coeffs_of(F.sub(a, b)) == tuple((x - y) % p for x, y in zip(da, db))
 
 
 @settings(max_examples=200)
@@ -192,6 +206,64 @@ def test_ext_field_budget():
 
 
 def test_ext_field_exp_log_roundtrip():
-    F = ext_field(3, 3)
-    for code in range(1, F.q):
-        assert F.exp[F.log[code]] == code
+    for p, d in [(3, 3), (359, 2), (7, 6)]:
+        F = ext_field(p, d)
+        assert F.log[0] == -1
+        for code in range(1, F.q):
+            assert F.exp[F.log[code]] == code
+
+
+# list-based arithmetic over F_p for the modulus checks below; coefficient
+# lists run low degree first, and nothing here comes from sumprod.field
+
+
+def _reduce(c: list[int], f: tuple[int, ...], p: int) -> list[int]:
+    """c mod the monic f, as exactly deg f coefficients."""
+    d = len(f) - 1
+    c = [v % p for v in c] + [0] * max(0, d - len(c))
+    for k in range(len(c) - 1, d - 1, -1):
+        top = c.pop()
+        for j in range(d):
+            c[k - d + j] = (c[k - d + j] - top * f[j]) % p
+    return c
+
+
+def _mulmod(a: list[int], b: list[int], f: tuple[int, ...], p: int) -> list[int]:
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    return _reduce(prod, f, p)
+
+
+def _powmod(a: list[int], e: int, f: tuple[int, ...], p: int) -> list[int]:
+    out = _reduce([1], f, p)
+    while e:
+        if e & 1:
+            out = _mulmod(out, a, f, p)
+        a = _mulmod(a, a, f, p)
+        e >>= 1
+    return out
+
+
+def _x_is_primitive(f: tuple[int, ...], p: int) -> bool:
+    """x mod f has order p^deg(f) - 1, i.e. f is primitive."""
+    n = p ** (len(f) - 1) - 1
+    x, one = _reduce([0, 1], f, p), _reduce([1], f, p)
+    primes = [r for r in range(2, n + 1) if n % r == 0 and all(r % s for s in range(2, r))]
+    return _powmod(x, n, f, p) == one and all(_powmod(x, n // r, f, p) != one for r in primes)
+
+
+@pytest.mark.parametrize(
+    "p, d", [(3, 1), (13, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2)]
+)
+def test_ext_field_modulus_is_the_smallest_primitive(p, d):
+    F = ext_field(p, d)
+    f = F.modulus
+    assert len(f) == d + 1 and f[-1] == 1
+    assert _x_is_primitive(f, p)
+    assert F.exp[1] == F.gen and F.coeffs_of(F.gen) == tuple(_reduce([0, 1], f, p))
+    for low in itertools.product(range(p), repeat=d):  # low degree compared first
+        if low == f[:-1]:
+            break
+        assert not _x_is_primitive(low + (1,), p), low

@@ -441,6 +441,12 @@ def test_is_good_examples():
     assert not r.ok and r.reason == "not-homogeneous"
 
 
+def test_is_good_needs_only_one_axis():
+    # P(0, y) = 0 and P(x, 0) = 0 in turn: one nonzero axis is enough
+    for text in ("x^2+x*y", "x*y+y^2"):
+        assert is_good(parse_bipoly(text, P13)).ok, text
+
+
 def test_is_permissible_examples():
     f1 = UniPoly.from_list(13, [1, 1])
     f2 = UniPoly.from_list(13, [2, 1])

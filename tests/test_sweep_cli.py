@@ -19,6 +19,7 @@ from sumprod.sweep import (
     generate_instances,
     render_report,
     run_sweep,
+    write_sweep,
 )
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "configs")
@@ -79,6 +80,50 @@ def test_config_rejects_bad_params(kind, params, where):
     with pytest.raises(ConfigError) as exc:
         SweepConfig.from_json(doc)
     assert str(exc.value).startswith(where)
+
+
+@pytest.mark.parametrize(
+    "over, where",
+    [
+        ({"seed": True}, "seed"),
+        ({"seed": 1.0}, "seed"),
+        ({"seed": "1"}, "seed"),
+        ({"jobs": True}, "jobs"),
+        ({"jobs": 2.0}, "jobs"),
+        ({"orders": [True]}, "orders[0]"),
+        ({"orders": [2, 3.0]}, "orders[1]"),
+        ({"orders": ["2"]}, "orders[0]"),
+        ({"orders": {"admitted_for_n": True}}, "orders.admitted_for_n"),
+        ({"orders": {"admitted_for_n": 2.0}}, "orders.admitted_for_n"),
+        ({"budgets": {"max_pairs": True}}, "budgets.max_pairs"),
+        ({"budgets": {"max_pairs": 1e6}}, "budgets.max_pairs"),
+        ({"budgets": {"ext_elements": True}}, "budgets.ext_elements"),
+        ({"budgets": {"ext_elements": "100"}}, "budgets.ext_elements"),
+        ({"primes": [True]}, "primes[0]"),
+        ({"primes": [5.0]}, "primes[0]"),
+        ({"primes": {"start": 3.9, "stop": 7}}, "primes"),
+        ({"primes": {"start": 3, "stop": "7"}}, "primes"),
+        ({"primes": {"start": True, "stop": 7}}, "primes"),
+        ({"primes": {"start": 3}}, "primes"),
+    ],
+)
+def test_config_rejects_non_integers(over, where):
+    doc = {"inequality": "gv", "primes": [5], "orders": "all", "seed": 1}
+    doc.update(over)
+    with pytest.raises(ConfigError) as exc:
+        SweepConfig.from_json(doc)
+    assert str(exc.value).startswith(f"{where}:")
+
+
+@pytest.mark.parametrize("jobs", [True, 2.0])
+def test_sweep_rejects_non_integer_jobs(tmp_path, jobs):
+    with pytest.raises(ConfigError) as exc:
+        run_sweep(gv_config(), jobs=jobs)
+    assert str(exc.value) == f"jobs: need a positive integer, got {jobs!r}"
+    out = tmp_path / "out.jsonl"
+    with pytest.raises(ConfigError):
+        write_sweep(gv_config(), "jsonl", str(out), jobs=jobs)
+    assert not out.exists()
 
 
 def test_config_accepts_good_params():
