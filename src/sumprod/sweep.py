@@ -1,13 +1,21 @@
-"""Batch sweeps: enumerate instances from a config, verify them (optionally
+"""Batch sweeps: enumerate work units from a config, verify them (optionally
 in parallel), and emit byte-stable JSONL/CSV reports.  `evaluate` runs one
 instance of any kind; `run_instance` turns its result into a record.
 
-Determinism contract: a config plus its seed pins the full instance list
-and every sampled value, so two runs differ in nothing — including worker
+A gv work unit is one subgroup (p, |G|) with a segment of its shifts mu;
+every other unit is one instance.  A gv record depends on mu only through
+lhs = |G ∩ (G + mu)|, which `shift_intersection` counts once per coset, so
+a gv unit evaluates each lhs value once and renders its record once, as a
+template line split where mu goes; each mu then costs one splice.
+`generate_instances` expands the same units into one instance per record.
+
+Determinism contract: a config plus its seed pins the full unit list and
+every sampled value, so two runs differ in nothing — including worker
 count.  Randomness is drawn from a fresh generator seeded per instance
-(never from a shared stream), and the instances are sorted into report
-order, by (p, order, poly) with ties in generation order, before fan-out.
-The sorted list is cut into contiguous blocks; each block runs (and, for
+(never from a shared stream), and the units are sorted into report order,
+by (p, order, poly) with ties in generation order, before fan-out.  The
+sorted units are cut into contiguous blocks of equally many records,
+splitting a subgroup's shifts where a block ends; each block runs (and, for
 `write_sweep`, renders) in one worker, and the parent consumes the blocks
 in order, so a report streams out block by block and the parent never holds
 every record.  Wall-clock time is deliberately absent from the serialized
@@ -42,7 +50,7 @@ from .bounds import (
 from .errors import BudgetExceeded, ConfigError, DegreeOverflow, ParseError, WorkbenchError
 from .field import EXT_ELEMENT_BUDGET, Prime, divisors, is_prime_u64, make_prime
 from .poly import UniPoly, is_required, parse_bipoly
-from .setops import DEFAULT_MAX_PAIRS, value_set
+from .setops import DEFAULT_MAX_PAIRS, shift_intersection, value_set
 from .subgroup import Subgroup, coset_of, in_admitted_window, subgroup_of_order
 
 SCHEMA_VERSION = 1
@@ -272,10 +280,12 @@ def _record_key(rec: dict) -> tuple:
     return (rec["p"], rec["order"], rec["poly"])
 
 
-def generate_instances(cfg: SweepConfig) -> list[dict]:
-    """The full deterministic worklist in report order; each entry is picklable.
+def _units(cfg: SweepConfig) -> list[dict]:
+    """The config's work units in report order; each is picklable.
 
-    Instances carry the record's (p, order, poly), so sorting them here puts
+    A gv unit is one subgroup with all its shifts: the instance fields plus
+    "mus", a range or a sorted list.  Every other unit is one instance.
+    Units carry the record's (p, order, poly), so sorting them here puts
     the records in the order the report needs (thmap trials, for one, are
     drawn in trial order but reported in shift-string order).
     """
@@ -290,11 +300,10 @@ def generate_instances(cfg: SweepConfig) -> list[dict]:
                 if "mu_sample" in cfg.params:
                     count = cfg.params["mu_sample"]
                     rng = _rng(cfg, p, d, "mu")
-                    mus: Iterable[int] = sorted(rng.sample(range(1, p), min(count, p - 1)))
+                    mus: Sequence[int] = sorted(rng.sample(range(1, p), min(count, p - 1)))
                 else:
                     mus = range(1, p)
-                for mu in mus:
-                    out.append({**base, "p": p, "order": d, "poly": "", "mu": mu})
+                out.append({**base, "p": p, "order": d, "poly": "", "mus": mus})
             elif kind == "growth":
                 out.append({**base, "p": p, "order": d, "poly": ""})
             elif kind == "t2":
@@ -339,6 +348,25 @@ def generate_instances(cfg: SweepConfig) -> list[dict]:
                         })
     out.sort(key=_record_key)
     return out
+
+
+def _size(unit: dict) -> int:
+    """How many records a unit makes."""
+    return len(unit["mus"]) if "mus" in unit else 1
+
+
+def _expand(unit: dict) -> list[dict]:
+    """A unit's instances, one per record."""
+    if "mus" not in unit:
+        return [unit]
+    inst = {k: v for k, v in unit.items() if k != "mus"}
+    return [{**inst, "mu": mu} for mu in unit["mus"]]
+
+
+def generate_instances(cfg: SweepConfig) -> list[dict]:
+    """The full deterministic worklist in report order, one instance per
+    record; each entry is picklable.  Sweeps run the units it expands."""
+    return [inst for unit in _units(cfg) for inst in _expand(unit)]
 
 
 def _detail(inst: dict) -> str:
@@ -426,17 +454,21 @@ _EXTRA_FIELDS = {
 }
 
 
-def run_instance(inst: dict) -> dict:
-    """Verify one instance and return its flat record (top-level so process
-    pools can pickle it).  Budget overruns become per-record errors."""
-    rec = _base_record(inst)
+def _outcome(inst: dict):
+    """evaluate(inst), or the BudgetExceeded it raised."""
     try:
-        r = evaluate(inst)
+        return evaluate(inst)
     except BudgetExceeded as e:
-        rec["premise_reason"] = f"budget: {e}"
+        return e
+
+
+def _fill(rec: dict, r) -> dict:
+    """rec with the fields of an _outcome filled in; budget overruns become
+    per-record errors."""
+    if isinstance(r, BudgetExceeded):
+        rec["premise_reason"] = f"budget: {r}"
         rec["extra"] = {"error": "budget"}
-        return rec
-    if isinstance(r, Verdict):
+    elif isinstance(r, Verdict):
         rec["premise_ok"] = r.premise_ok
         rec["premise_reason"] = r.premise_reason
         rec["lhs"] = r.lhs
@@ -450,22 +482,73 @@ def run_instance(inst: dict) -> dict:
     return rec
 
 
+def run_instance(inst: dict) -> dict:
+    """Verify one instance and return its flat record (top-level so process
+    pools can pickle it).  Budget overruns become per-record errors."""
+    return _fill(_base_record(inst), _outcome(inst))
+
+
+# stands for mu in the detail of a shared gv record; no other field of a gv
+# record can hold it, and neither JSON nor CSV escapes or quotes it
+_MU = "<mu>"
+
+
+def _gv_shared(unit: dict, make) -> Iterator[tuple[int, Any]]:
+    """(mu, make(record)) for every shift of a gv unit.
+
+    The verdict depends on mu only through lhs = |G ∩ (G + mu)|, so each
+    lhs value is evaluated once, at its first mu, and its record, whose
+    detail reads "mu=<mu>", goes through make once and is shared by every
+    later mu with that lhs.
+    """
+    G = _subgroup(unit["p"], unit["order"])
+    inst = {k: v for k, v in unit.items() if k != "mus"}
+    shared = {**inst, "mu": _MU}
+    made: dict[int, Any] = {}
+    for mu in unit["mus"]:
+        lhs = shift_intersection(G, mu)
+        m = made.get(lhs)
+        if m is None:
+            m = made[lhs] = make(_fill(_base_record(shared), _outcome({**inst, "mu": mu})))
+        yield mu, m
+
+
+def _blocks(units: list[dict], size: int) -> list[list[dict]]:
+    """The units cut into blocks of `size` records (the last may be short);
+    a gv unit whose shifts cross a block boundary is split there."""
+    blocks: list[list[dict]] = []
+    room = 0
+    for unit in units:
+        n, done = _size(unit), 0
+        while done < n:
+            if room == 0:
+                blocks.append([])
+                room = size
+            take = min(room, n - done)
+            blocks[-1].append(unit if take == n else {**unit, "mus": unit["mus"][done : done + take]})
+            done += take
+            room -= take
+    return blocks
+
+
 @contextlib.contextmanager
 def _block_results(fn, cfg: SweepConfig, jobs: int | None) -> Iterator[Iterator]:
-    """fn over contiguous blocks of the sorted instance list, in block order.
+    """fn over contiguous blocks of the sorted work units, in block order.
 
-    The instances are generated on entry, so a config that cannot be
-    enumerated fails before the caller opens any output.  The pool starts
-    no more workers than there are blocks or CPUs, and each worker gets
-    about eight blocks; with one worker the blocks run in this process.
-    Leaving the context early cancels the blocks not yet started.
+    The units are generated on entry, so a config that cannot be enumerated
+    fails before the caller opens any output.  Every block but the last
+    holds the same number of records, so a gv sweep balances as if each
+    shift were its own unit.  The pool starts no more workers than there
+    are blocks or CPUs, and each worker gets about eight blocks; with one
+    worker the blocks run in this process.  Leaving the context early
+    cancels the blocks not yet started.
     """
     if jobs is not None and not (_is_int(jobs) and jobs >= 1):
         raise ConfigError(f"jobs: need a positive integer, got {jobs!r}")
-    instances = generate_instances(cfg)
+    units = _units(cfg)
     workers = min(cfg.jobs if jobs is None else jobs, os.cpu_count() or 1)
-    size = max(1, len(instances) // (workers * 8))
-    blocks = [instances[i : i + size] for i in range(0, len(instances), size)]
+    size = max(1, sum(map(_size, units)) // (workers * 8))
+    blocks = _blocks(units, size)
     workers = min(workers, len(blocks))
     if workers <= 1:
         yield map(fn, blocks)
@@ -481,20 +564,46 @@ def _block_results(fn, cfg: SweepConfig, jobs: int | None) -> Iterator[Iterator]
             results.close()
 
 
-def _run_block(instances: list[dict]) -> list[dict]:
-    return [run_instance(inst) for inst in instances]
+def _run_block(units: list[dict]) -> list[dict]:
+    records = []
+    for unit in units:
+        if "mus" not in unit:
+            records.append(run_instance(unit))
+            continue
+        for mu, rec in _gv_shared(unit, lambda rec: rec):
+            records.append({**rec, "detail": f"mu={mu}", "extra": dict(rec["extra"])})
+    return records
 
 
-def _render_block(fmt: str, instances: list[dict]) -> tuple[str, int]:
-    """One block's report text (no CSV header) and its violation count."""
-    records = _run_block(instances)
-    return render_report(records, fmt, header=False), count_violations(records)
+def _split_line(fmt: str, rec: dict) -> tuple[str, str, int]:
+    """A shared gv record's report line, split at _MU, and its violation count."""
+    head, tail = render_report([rec], fmt, header=False).split(_MU)
+    return head, tail, count_violations([rec])
+
+
+def _render_block(fmt: str, units: list[dict]) -> tuple[str, int]:
+    """One block's report text (no CSV header) and its violation count.
+
+    A gv unit renders each shared record once; every mu then costs one
+    splice into its line.  Other units render their records.
+    """
+    if not any("mus" in unit for unit in units):
+        records = _run_block(units)
+        return render_report(records, fmt, header=False), count_violations(records)
+    split = functools.partial(_split_line, fmt)
+    parts: list[str] = []
+    violations = 0
+    for unit in units:
+        for mu, (head, tail, bad) in _gv_shared(unit, split):
+            parts.append(f"{head}{mu}{tail}")
+            violations += bad
+    return "".join(parts), violations
 
 
 def run_sweep(cfg: SweepConfig, jobs: int | None = None) -> list[dict]:
     """All records for the config, sorted by (p, order, poly, detail).
 
-    The worker count changes scheduling only; instance generation and every
+    The worker count changes scheduling only; unit generation and every
     sampled value happen before fan-out, so the records are identical for
     any value of jobs.
     """

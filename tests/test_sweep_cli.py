@@ -1,4 +1,7 @@
+import csv
+import dataclasses
 import glob
+import io
 import json
 import os
 import subprocess
@@ -7,8 +10,9 @@ import sys
 import pytest
 
 from sumprod import sweep
+from sumprod.bounds import Verdict
 from sumprod.cli import main
-from sumprod.errors import ConfigError, WorkbenchError
+from sumprod.errors import BudgetExceeded, ConfigError, WorkbenchError
 from sumprod.field import divisors, make_prime
 from sumprod.subgroup import coset_of, in_admitted_window, subgroup_of_order
 from sumprod.sweep import (
@@ -18,6 +22,7 @@ from sumprod.sweep import (
     emit_report,
     generate_instances,
     render_report,
+    run_instance,
     run_sweep,
     write_sweep,
 )
@@ -712,26 +717,138 @@ def test_cli_stream_matches_render_report(tmp_path, name, fmt, jobs):
 
 
 def test_cli_sweep_counts_violations(tmp_path, monkeypatch, capsys):
-    real = sweep.run_instance
+    # gv records come from one verdict per |G ∩ (G + mu)| value, so the flip
+    # goes into the verdict: at p = 13, |G| = 4 only the coset 4G has lhs 2
+    real = sweep.verify_shift_overlap_bound
 
-    def flip_one(inst):
-        rec = real(inst)
-        if (rec["p"], rec["order"], rec["detail"]) == (13, 3, "mu=1"):
-            assert rec["premise_ok"] and rec["holds"] is True
-            rec["holds"] = False
-        return rec
+    def flip_one_coset(G, mu):
+        v = real(G, mu)
+        if (G.p, G.order, v.lhs) == (13, 4, 2):
+            assert v.premise_ok and v.holds is True
+            v = dataclasses.replace(v, holds=False)
+        return v
 
-    monkeypatch.setattr(sweep, "run_instance", flip_one)
     doc = {"inequality": "gv", "primes": [7, 13], "orders": "all", "seed": 1}
+    coset = [r["detail"] for r in run_sweep(SweepConfig.from_json(doc), jobs=1)
+             if (r["p"], r["order"], r["lhs"]) == (13, 4, 2)]
+    assert coset == ["mu=4", "mu=6", "mu=7", "mu=9"]
+    monkeypatch.setattr(sweep, "verify_shift_overlap_bound", flip_one_coset)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     out_path = tmp_path / "out.jsonl"
     rc = main(["sweep", "--config", str(cfg_path), "--jobs", "1", "--out", str(out_path)])
     assert rc == 2
-    assert "1 premise-met violation(s) found" in capsys.readouterr().err
+    assert f"{len(coset)} premise-met violation(s) found" in capsys.readouterr().err
     records = run_sweep(SweepConfig.from_json(doc), jobs=1)
-    assert count_violations(records) == 1
+    assert count_violations(records) == len(coset)
     assert out_path.read_text(encoding="utf-8") == render_report(records, "jsonl")
+
+
+# --- gv work units: one record per verdict, mu spliced into its line --------
+
+
+def _per_record_report(cfg, fmt):
+    """The report as one run_instance per generated instance would write it."""
+    return render_report([run_instance(inst) for inst in generate_instances(cfg)], fmt)
+
+
+def _full_row(rec):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([sweep._csv_cell(rec[c]) for c in CSV_COLUMNS])
+    return buf.getvalue()
+
+
+BIG = 2**64 + 13
+SYNTHETIC_OUTCOMES = [
+    Verdict("gv", True, "", 3, 4 * 5 ** (2 / 3), True, False, 1e-05),
+    Verdict("gv", True, "", 2**70, 4.0, False, False, 1e16),
+    Verdict("gv", True, "", 4, 4.0, True, True, 0.1 + 0.2),
+    Verdict("gv", False, "size-window", 0, 5e-324, None, False, 0.0),
+    Verdict("gv", False, "size-window", 7, 1.7976931348623157e308, None, True, 1e-300),
+    BudgetExceeded("|G|^2 = 144 exceeds budget 100"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("outcome", SYNTHETIC_OUTCOMES, ids=range(len(SYNTHETIC_OUTCOMES)))
+def test_gv_template_splice_matches_the_full_record(fmt, outcome):
+    shared = sweep._fill({
+        "schema": 1, "kind": "gv", "p": BIG, "order": 5, "generator": BIG - 2, "poly": "",
+        "detail": f"mu={sweep._MU}", "premise_ok": False, "premise_reason": "", "lhs": 0,
+        "rhs": 0.0, "holds": None, "borderline": False, "ratio": 0.0, "extra": {},
+        "seed": 2**64 - 1,
+    }, outcome)
+    head, tail, bad = sweep._split_line(fmt, shared)
+    for mu in (1, 9, 10**6, BIG - 1, 2**80):
+        full = {**shared, "detail": f"mu={mu}"}
+        want = sweep._JSON.encode(full) + "\n" if fmt == "jsonl" else _full_row(full)
+        assert head + str(mu) + tail == want
+        assert bad == count_violations([full])
+    line = head + "1" + tail
+    assert ("1e-05" in line) == (outcome is SYNTHETIC_OUTCOMES[0])
+    assert ("1e+16" in line) == (outcome is SYNTHETIC_OUTCOMES[1])
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_gv_units_share_synthetic_verdicts_by_lhs(monkeypatch, fmt):
+    # every field shape at once: each lhs value gets one synthetic verdict
+    def synthetic(G, mu):
+        lhs = sweep.shift_intersection(G, mu)
+        v = SYNTHETIC_OUTCOMES[lhs % 5]
+        return dataclasses.replace(v, lhs=lhs, borderline=v.borderline or lhs == 1)
+
+    monkeypatch.setattr(sweep, "verify_shift_overlap_bound", synthetic)
+    cfg = gv_config(primes=[61, 191], params={"mu_sample": 40}, seed=8)
+    records = [run_instance(inst) for inst in generate_instances(cfg)]
+    assert {r["holds"] for r in records} == {True, False, None}
+    assert any(r["borderline"] for r in records)
+    text, bad = sweep._render_block(fmt, sweep._units(cfg))
+    assert text == render_report(records, fmt, header=False)
+    assert bad == count_violations(records) > 0
+    assert sweep._run_block(sweep._units(cfg)) == records
+
+
+def test_gv_sweep_builds_no_per_record_instances(tmp_path, monkeypatch):
+    cfg = gv_config(primes=[5, 7, 13, 31], params={"mu_sample": 7})
+    want = {fmt: _per_record_report(cfg, fmt) for fmt in ("jsonl", "csv")}
+    want_all = {fmt: _per_record_report(gv_config(), fmt) for fmt in ("jsonl", "csv")}
+
+    def per_record(*args, **kwargs):
+        raise AssertionError("a gv sweep went through per-record instances")
+
+    monkeypatch.setattr(sweep, "run_instance", per_record)
+    monkeypatch.setattr(sweep, "generate_instances", per_record)
+    for fmt in ("jsonl", "csv"):
+        for config, expected in ((cfg, want), (gv_config(), want_all)):
+            out = tmp_path / f"out.{fmt}"
+            assert write_sweep(config, fmt, str(out), jobs=1) == 0
+            assert out.read_text(encoding="utf-8") == expected[fmt]
+
+
+GV_UNIT_CONFIGS = {
+    "sampled-large-p": {"inequality": "gv", "primes": [4294967311], "orders": [2, 5],
+                        "params": {"mu_sample": 30}, "seed": 6},
+    "straddling": {"inequality": "gv", "primes": [13, 31, 61], "orders": "all", "seed": 2},
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("name", sorted(GV_UNIT_CONFIGS))
+def test_gv_units_match_per_record_reports(tmp_path, name, fmt, jobs):
+    cfg = SweepConfig.from_json(GV_UNIT_CONFIGS[name])
+    units = sweep._units(cfg)
+    records = sum(map(sweep._size, units))
+    assert records == len(generate_instances(cfg))
+    if name == "straddling":
+        # the --jobs 2 blocks split subgroups, some of them more than once
+        blocks = sweep._blocks(units, records // 16)
+        assert [sum(map(sweep._size, b)) for b in blocks[:-1]] == [records // 16] * (len(blocks) - 1)
+        firsts = [(b[0]["p"], b[0]["order"], b[0]["mus"][0]) for b in blocks]
+        assert sum(mu != 1 for _, _, mu in firsts) >= 5
+    out = tmp_path / f"out.{fmt}"
+    assert write_sweep(cfg, fmt, str(out), jobs=jobs) == 0
+    assert out.read_text(encoding="utf-8") == _per_record_report(cfg, fmt)
 
 
 def test_module_entrypoint_subprocess():
