@@ -12,6 +12,8 @@ polynomial arithmetic is needed to construct a field.  Each field also
 carries numpy tables of the base-p digits of x^k and of the F_p-linear maps
 "multiply by x^k" at every code x (k <= 4), so the exhaustive factor search
 in `poly` evaluates all candidates of one field in a few array operations.
+numpy is imported when the first extension field is built; prime-field
+arithmetic, primality and factoring are plain Python ints.
 """
 
 from __future__ import annotations
@@ -20,10 +22,12 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BudgetExceeded, CompositeInput, ZeroInverse
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_PRIME = 2**64 - 1
 DLOG_TABLE_LIMIT = 1 << 22
@@ -259,6 +263,8 @@ def _smallest_primitive(p: int, d: int) -> tuple[tuple[int, ...], list[int]]:
     exp table.  The norm of t, (-1)^d f(0), must generate F_p^*, so other
     candidates are skipped without a walk.
     """
+    import numpy as np
+
     q = p**d
     place = p ** np.arange(d, dtype=np.int64)
     digits = np.arange(q, dtype=np.int64)[:, None] // place % p  # [code, r]
@@ -277,6 +283,21 @@ def _smallest_primitive(p: int, d: int) -> tuple[tuple[int, ...], list[int]]:
         if len(exp) == q - 1:
             return low + (1,), exp
     raise AssertionError("unreachable: primitive polynomials of every degree exist")
+
+
+def _digit_planes(codes: np.ndarray, p: int, d: int) -> np.ndarray:
+    """out[:, r] = base-p digit r of codes, for a code array of shape (n, ...).
+
+    Digits are peeled off codes in place, so codes is overwritten, and the
+    only memory beyond the result is codes itself.
+    """
+    import numpy as np
+
+    out = np.empty((codes.shape[0], d) + codes.shape[1:], dtype=codes.dtype)
+    for r in range(d):
+        np.remainder(codes, p, out=out[:, r])
+        np.floor_divide(codes, p, out=codes)
+    return out
 
 
 class ExtField:
@@ -303,6 +324,8 @@ class ExtField:
         q = p**d
         if q > budget:
             raise BudgetExceeded(f"p^d = {q} exceeds the element budget {budget}")
+        import numpy as np
+
         self.prime = prime
         self.p = p
         self.d = d
@@ -338,6 +361,8 @@ class ExtField:
     # -- table construction --------------------------------------------
 
     def _build_power_tables(self):
+        import numpy as np
+
         p, q, d = self.p, self.q, self.d
         exp = np.array(self.exp, dtype=np.int64)
         log = np.array(self.log, dtype=np.int64)
@@ -346,15 +371,15 @@ class ExtField:
             prod = exp[(log[a] + log[b]) % (q - 1)]
             return np.where((a != 0) & (b != 0), prod, 0)
 
-        place = p ** np.arange(d, dtype=np.int64)  # code of t^e, also digit weights
+        place = p ** np.arange(d, dtype=np.int64)  # code of t^e
         powers = np.ones((_TABLE_POWERS, q), dtype=np.int64)
         codes = np.arange(q, dtype=np.int64)
         for k in range(1, _TABLE_POWERS):
             powers[k] = times(powers[k - 1], codes)
-        self.power_digits = powers[:, None, :] // place[:, None] % p  # [k, r, x]
-        images = times(powers[:, :, None], place)  # [k, x, e]: code of x^k * t^e
-        digits = images[:, :, :, None] // place % p  # [k, x, e, r]
-        self.power_matrices = np.ascontiguousarray(digits.transpose(1, 3, 0, 2))  # [x, r, k, e]
+        images = times(powers.T[:, :, None], place)  # [x, k, e]: code of x^k * t^e
+        # the tables are filled last, as _digit_planes overwrites its input
+        self.power_digits = _digit_planes(powers, p, d)  # [k, r, x]
+        self.power_matrices = _digit_planes(images, p, d)  # [x, r, k, e]
 
     # -- arithmetic on codes --------------------------------------------
 

@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from math import comb, gcd, inf
 from typing import Iterable, Optional
 
-import numpy as np
-
 from .errors import (
     BudgetExceeded,
     DegreeOverflow,
@@ -672,6 +670,8 @@ def _linear_factor_exists(Q: BiPoly, F: ExtField) -> bool:
 
     Q(x, 0) is nonzero here: divisibility by y is handled by the caller.
     """
+    import numpy as np
+
     p, q, d, n = F.p, F.q, F.d, Q.total_degree
     pows = F.power_digits[: n + 1]  # [m, r, x]: digits of x^m
     C = [[0] * (n + 1) for _ in range(n + 2)]  # C[i][j] = c_ij; row n+1: Q(x, 0)

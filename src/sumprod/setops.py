@@ -8,11 +8,13 @@ pairs, level pairs) take O(|G|) work: P(a, a*t) = a^n * P(1, t), and
 element of H = {a^n : a in G}.  H has order k = |G|/gcd(n, |G|) and is the
 kernel of v -> v^k, so nonzero values lie in one H-coset exactly when their
 k-th powers agree; the counts follow from the k-th powers of the |G| values
-P(1, t) (see _homogeneous_keys).  Everything else is full enumeration.
-numpy carries the bulk work in fixed-size chunks on one path for every
-prime; only the dtype depends on p: uint64 below 2^32, where every product
-plus a residue, (p-1)^2 + (p-1), fits, and object (Python ints) from 2^32
-up.  Sets are deduplicated by sorting.  Budgets cap pairs, not answers.
+P(1, t) (see _homogeneous_keys), in plain Python ints, as is
+shift_intersection.  Everything else is full enumeration: the grid kernels
+(image, sumset, counts of non-homogeneous P) and fiber_set import numpy on
+first use and work in fixed-size chunks on one path for every prime; only
+the dtype depends on p: uint64 below 2^32, where every product plus a
+residue, (p-1)^2 + (p-1), fits, and object (Python ints) from 2^32 up.
+Sets are deduplicated by sorting.  Budgets cap pairs, not answers.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     CosetCollision,
@@ -36,6 +36,9 @@ from .errors import (
 from .field import Prime
 from .poly import BiPoly, UniPoly
 from .subgroup import Coset, Subgroup
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MAX_PAIRS = 10**8
 _CHUNK = 1 << 22
@@ -103,12 +106,16 @@ def _trusted_value_set(prime: Prime, arr: np.ndarray) -> ValueSet:
 
 
 def _dtype(p: int):
+    import numpy as np
+
     return np.uint64 if p < 1 << 32 else object
 
 
 def _distinct(chunks: Iterable[np.ndarray]) -> np.ndarray:
     """Distinct entries of all chunks, ascending, by sorting; each chunk is
     thinned as it arrives, so memory follows the answer, not the pair count."""
+    import numpy as np
+
     parts = []
     for c in chunks:
         v = np.sort(c, axis=None)
@@ -118,6 +125,8 @@ def _distinct(chunks: Iterable[np.ndarray]) -> np.ndarray:
 
 def _pow_table(arr: np.ndarray, max_exp: int, p: int) -> list[np.ndarray]:
     """[arr^0, arr^1, ..., arr^max_exp] reduced mod p."""
+    import numpy as np
+
     out = [np.ones_like(arr)]
     for _ in range(max_exp):
         out.append(out[-1] * arr % p)
@@ -126,6 +135,8 @@ def _pow_table(arr: np.ndarray, max_exp: int, p: int) -> list[np.ndarray]:
 
 def _eval_grid(P: BiPoly, ablock: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """P(a, b) over the outer grid ablock x b, mod p, in the inputs' dtype."""
+    import numpy as np
+
     apw = _pow_table(ablock, max(P.deg_x, 0), p)
     bpw = _pow_table(b, max(P.deg_y, 0), p)
     acc = np.zeros((len(ablock), len(b)), dtype=ablock.dtype)
@@ -136,6 +147,8 @@ def _eval_grid(P: BiPoly, ablock: np.ndarray, b: np.ndarray, p: int) -> np.ndarr
 
 def _grid_blocks(avals: Sequence[int], bvals: Sequence[int], p: int):
     """Yield (a-block, b-array) pairs covering the full grid, <= _CHUNK cells each."""
+    import numpy as np
+
     dtype = _dtype(p)
     b = np.asarray(bvals, dtype=dtype)
     rows = max(1, _CHUNK // max(1, len(b)))
@@ -255,6 +268,8 @@ def fiber_set(fs: Sequence[UniPoly], cosets: Sequence[Coset]) -> ValueSet:
         raise ValueError(f"mixed primes {sorted(primes)}")
     p = primes.pop()
     prime = cosets[0].prime
+    import numpy as np
+
     dtype = _dtype(p)
     dense = [f.dense() for f in fs]
     member_arrs = [np.asarray(c.members, dtype=dtype) for c in cosets]
@@ -332,6 +347,8 @@ def count_level_pairs(
         k = G.order // e
         per_level = {a: e * keys[pow(a, k, p)] for a in alphas}
         return PairCount(sum(per_level.values()), per_level)
+    import numpy as np
+
     levels = np.asarray(alphas.members, dtype=_dtype(p))
     tallies = np.zeros(len(levels), dtype=np.int64)
     for grid in _eval_blocks(P, G.elements, G.elements, p):

@@ -1,4 +1,6 @@
 import itertools
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -196,6 +198,36 @@ def test_ext_field_power_tables(p, d):
             for y in ys:
                 digits = M @ F.coeffs_of(y) % p
                 assert tuple(int(v) for v in digits) == F.coeffs_of(F.mul(xk, y))
+
+
+@pytest.mark.parametrize("p, d, sample", [(3, 3, None), (5, 5, 200)])
+def test_ext_field_power_tables_entrywise(p, d, sample):
+    """Every checked entry is a digit of x^k * t^e, with x^k taken by
+    repeated F.mul and t^e the monomial code p^e."""
+    F = ExtField(Prime(p), d)
+    xs = range(F.q) if sample is None else random.Random(5).sample(range(F.q), sample)
+    for x in xs:
+        xk = 1
+        for k in range(5):
+            assert tuple(F.power_digits[k, :, x].tolist()) == F.coeffs_of(xk)
+            for e in range(d):
+                column = F.power_matrices[x, :, k, e].tolist()
+                assert tuple(column) == F.coeffs_of(F.mul(xk, p**e)), (x, k, e)
+            xk = F.mul(xk, x)
+
+
+def test_ext_field_build_peak_memory():
+    """Building F_{5^5} holds little beyond the power tables it keeps."""
+    import numpy  # noqa: F401  loaded first: its import is not the build's memory
+
+    tracemalloc.start()
+    try:
+        F = ExtField(Prime(5), 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = F.power_matrices.nbytes + F.power_digits.nbytes
+    assert peak <= 1.5 * tables, (peak, tables)
 
 
 def test_ext_field_budget():

@@ -256,6 +256,37 @@ def test_import_leaves_the_process_pool_out():
     assert out.stdout.strip() == "False"
 
 
+_NUMPY_PROBE = """
+import json, sys
+import sumprod, sumprod.cli
+seen = ["numpy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    assert sumprod.cli.main(argv) == 0, argv
+    seen.append("numpy" in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def test_gv_and_homogeneous_sweeps_leave_numpy_out(tmp_path):
+    """The import, gv sweeps and the homogeneous-form t2/vm/growth sweeps run
+    on Python ints and never load numpy; a non-homogeneous t2 sweep, last,
+    does, so the probe is live.  t2 runs at a prime below 2^32 and one above."""
+    configs = [os.path.join(CONFIG_DIR, f"{name}.json")
+               for name in ("gv_small", "growth_probe", "vm_sampled")]
+    for i, polys in enumerate((["x+y", "x^2+y^2"], ["x*y+x+y"])):
+        path = tmp_path / f"t2-{i}.json"
+        path.write_text(json.dumps({
+            "inequality": "t2", "primes": [92921, 4294967311], "orders": [4, 101, 131],
+            "polys": polys, "seed": 1,
+        }))
+        configs.append(str(path))
+    out = str(tmp_path / "report.jsonl")
+    argvs = [["sweep", "--config", c, "--out", out, "--jobs", "1"] for c in configs]
+    run = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)],
+                         capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout) == [False] * 5 + [True]
+
+
 # --- report emission ----------------------------------------------------------
 
 
