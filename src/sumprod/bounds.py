@@ -193,7 +193,11 @@ def verify_shift_overlap_bound(G: Subgroup, mu: int) -> Verdict:
 
 
 def verify_fiber_bound(
-    fs: Sequence[UniPoly], cosets: Sequence[Coset], G: Subgroup
+    fs: Sequence[UniPoly],
+    cosets: Sequence[Coset],
+    G: Subgroup,
+    *,
+    max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> Verdict:
     """|{x : f_i(x) in i-th coset for all i}| <= c3 * |G|^{1/2 + 1/(2n)}.
 
@@ -202,15 +206,16 @@ def verify_fiber_bound(
     decided exactly: raising both sides to the power 2n+1 turns it into
     |G|^{2n+1} * (n+1)^{2n} * (prod m)^2 < p^{2n}.  A constant f_i has no
     degree-vector entry: the verdict then reports the permissibility
-    failure with rhs 0 rather than inventing constants.
+    failure with rhs 0 rather than inventing constants.  Every Coset is a
+    coset of the subgroup of its own size (see Coset), and F_p* has one
+    subgroup per order, so each coset is checked by its prime and size.
+    max_pairs caps the F_p scan of fiber_set.
     """
     n = len(fs)
     if n < 2 or n != len(cosets):
         raise LengthMismatch(f"need n >= 2 with {n} polynomials and {len(cosets)} cosets")
     for c in cosets:
-        if len(c.members) != G.order or any(
-            c.representative * g % G.p not in c.member_set for g in G.elements
-        ):
+        if c.prime.p != G.p or len(c.members) != G.order:
             raise ValueError(f"coset of {c.representative} is not a coset of the given subgroup")
     perm = is_permissible(fs)
     degs = [f.degree for f in fs]
@@ -231,7 +236,7 @@ def verify_fiber_bound(
                 < G.p ** (2 * n)
             ):
                 reason = "subgroup-too-large"
-    lhs = len(fiber_set(fs, cosets))
+    lhs = len(fiber_set(fs, cosets, max_pairs=max_pairs))
     return _verdict("thmap", reason, lhs, rhs, "<=", lhs / denom)
 
 

@@ -836,6 +836,8 @@ def _radical(f: UniPoly) -> UniPoly:
         raise ZeroPolynomial("need a nonconstant polynomial")
     if d >= f.p:
         raise DegreeVsCharacteristic(f"degree {d} >= characteristic {f.p}")
+    if d == 1:  # a linear f is its own radical
+        return f.monic()
     df = f.derivative()
     return (f // uni_gcd(f, df)).monic()
 

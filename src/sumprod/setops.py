@@ -8,13 +8,15 @@ pairs, level pairs) take O(|G|) work: P(a, a*t) = a^n * P(1, t), and
 element of H = {a^n : a in G}.  H has order k = |G|/gcd(n, |G|) and is the
 kernel of v -> v^k, so nonzero values lie in one H-coset exactly when their
 k-th powers agree; the counts follow from the k-th powers of the |G| values
-P(1, t) (see _homogeneous_keys), in plain Python ints, as is
-shift_intersection.  Everything else is full enumeration: the grid kernels
-(image, sumset, counts of non-homogeneous P) and fiber_set import numpy on
-first use and work in fixed-size chunks on one path for every prime; only
-the dtype depends on p: uint64 below 2^32, where every product plus a
-residue, (p-1)^2 + (p-1), fits, and object (Python ints) from 2^32 up.
-Sets are deduplicated by sorting.  Budgets cap pairs, not answers.
+P(1, t) (see _homogeneous_keys), in plain Python ints, as are
+shift_intersection and fiber_set, which walks the coset preimages of a
+family's linear members.  Everything else is full enumeration: the grid
+kernels (image, sumset, counts of non-homogeneous P) and the F_p scan of a
+family with no linear member import numpy on first use and work in
+fixed-size chunks on one path for every prime; only the dtype depends on
+p: uint64 below 2^32, where every product plus a residue, (p-1)^2 + (p-1),
+fits, and object (Python ints) from 2^32 up.  Sets are deduplicated by
+sorting.  Budgets cap pairs (or scanned points), not answers.
 """
 
 from __future__ import annotations
@@ -97,11 +99,11 @@ def _same_prime(*objs) -> Prime:
     return objs[0].prime
 
 
-def _trusted_value_set(prime: Prime, arr: np.ndarray) -> ValueSet:
-    """ValueSet from an ascending, duplicate-free residue array, not re-validated."""
+def _trusted_value_set(prime: Prime, members: list[int]) -> ValueSet:
+    """ValueSet from ascending, duplicate-free residues, not re-validated."""
     vs = object.__new__(ValueSet)
     object.__setattr__(vs, "prime", prime)
-    object.__setattr__(vs, "members", tuple(arr.tolist()))
+    object.__setattr__(vs, "members", tuple(members))
     return vs
 
 
@@ -203,7 +205,9 @@ def image(P: BiPoly, A: ValueSet, B: ValueSet, *, max_pairs: int = DEFAULT_MAX_P
     n_pairs = len(A) * len(B)
     if n_pairs > max_pairs:
         raise SizeBudget(f"|A|*|B| = {n_pairs} exceeds budget {max_pairs}")
-    return _trusted_value_set(prime, _distinct(_eval_blocks(P, A.members, B.members, prime.p)))
+    return _trusted_value_set(
+        prime, _distinct(_eval_blocks(P, A.members, B.members, prime.p)).tolist()
+    )
 
 
 def image_size(P: BiPoly, G: Subgroup, *, max_pairs: int = DEFAULT_MAX_PAIRS) -> int:
@@ -235,7 +239,7 @@ def sumset(A: ValueSet, B: ValueSet, sign: int = 1) -> ValueSet:
     # a - b is a + (p - b): no negative operand, which uint64 cannot hold
     bvals = B.members if sign == 1 else [(p - v) % p for v in B.members]
     grids = ((ablock[:, None] + b[None, :]) % p for ablock, b in _grid_blocks(A.members, bvals, p))
-    return _trusted_value_set(prime, _distinct(grids))
+    return _trusted_value_set(prime, _distinct(grids).tolist())
 
 
 def shift_intersection(G: Subgroup, mu: int) -> int:
@@ -259,15 +263,28 @@ def shift_intersection(G: Subgroup, mu: int) -> int:
     return count
 
 
-def fiber_set(fs: Sequence[UniPoly], cosets: Sequence[Coset]) -> ValueSet:
-    """{x in F_p : f_i(x) lies in the i-th coset for every i}, by full scan."""
-    if len(fs) == 0 or len(fs) != len(cosets):
-        raise LengthMismatch(f"{len(fs)} polynomials vs {len(cosets)} cosets")
-    primes = {f.p for f in fs} | {c.prime.p for c in cosets}
-    if len(primes) != 1:
-        raise ValueError(f"mixed primes {sorted(primes)}")
-    p = primes.pop()
-    prime = cosets[0].prime
+def _walk_fiber(fs: Sequence[UniPoly], cosets: Sequence[Coset], p: int) -> list[int]:
+    """The fiber, ascending, from the coset preimages of the linear members
+    (the family must have one).
+
+    A linear f = a*x + b maps onto a coset C from exactly the preimage
+    {(c - b) * a^-1 : c in C}.  The fiber is the intersection of those
+    preimages, kept where every other f_j(x) lies in the j-th coset.
+    """
+    linear = [i for i, f in enumerate(fs) if f.degree == 1]
+    preimages = []
+    for i in linear:
+        b, inv = fs[i].coeffs.get(0, 0), pow(fs[i].coeffs[1], -1, p)
+        preimages.append({(c - b) * inv % p for c in cosets[i].members})
+    fiber = set.intersection(*preimages)
+    rest = [(fs[j], cosets[j].member_set) for j in range(len(fs)) if j not in linear]
+    if rest:
+        fiber = {x for x in fiber if all(f(x) in s for f, s in rest)}
+    return sorted(fiber)
+
+
+def _scan_fiber(fs: Sequence[UniPoly], cosets: Sequence[Coset], p: int) -> list[int]:
+    """The fiber, ascending, by testing every x in F_p in numpy chunks."""
     import numpy as np
 
     dtype = _dtype(p)
@@ -287,7 +304,31 @@ def fiber_set(fs: Sequence[UniPoly], cosets: Sequence[Coset]) -> ValueSet:
             if not mask.any():
                 break
         hits.append(xs[mask])
-    return _trusted_value_set(prime, np.concatenate(hits))
+    return np.concatenate(hits).tolist()
+
+
+def fiber_set(
+    fs: Sequence[UniPoly], cosets: Sequence[Coset], *, max_pairs: int = DEFAULT_MAX_PAIRS
+) -> ValueSet:
+    """{x in F_p : f_i(x) lies in the i-th coset for every i}.
+
+    A family with a linear member is walked from its coset preimages
+    (_walk_fiber): O(sum of the coset sizes) work in Python ints, at any
+    prime.  A family with none is scanned over all of F_p with numpy
+    (_scan_fiber), and its p points count against max_pairs.
+    """
+    if len(fs) == 0 or len(fs) != len(cosets):
+        raise LengthMismatch(f"{len(fs)} polynomials vs {len(cosets)} cosets")
+    primes = {f.p for f in fs} | {c.prime.p for c in cosets}
+    if len(primes) != 1:
+        raise ValueError(f"mixed primes {sorted(primes)}")
+    p = primes.pop()
+    prime = cosets[0].prime
+    if any(f.degree == 1 for f in fs):
+        return _trusted_value_set(prime, _walk_fiber(fs, cosets, p))
+    if p > max_pairs:
+        raise SizeBudget(f"scan of {p} points exceeds budget {max_pairs}")
+    return _trusted_value_set(prime, _scan_fiber(fs, cosets, p))
 
 
 def count_zero_pairs(P: BiPoly, G: Subgroup, *, max_pairs: int = DEFAULT_MAX_PAIRS) -> int:

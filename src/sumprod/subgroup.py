@@ -85,16 +85,37 @@ def is_admitted(G: Subgroup, n: int) -> bool:
 
 @dataclass(frozen=True)
 class Coset:
-    """A multiplicative coset v * G, named by its smallest member."""
+    """A multiplicative coset v * H, named by its smallest member, where H
+    is the subgroup of order len(members).
+
+    Construction checks that the members are one such coset: d = |members|
+    ascending nonzero residues, d | p - 1, and one common d-th power (H is
+    the kernel of x -> x^d, and each of its cosets has exactly d elements).
+    F_p* has one subgroup per order, so the prime and the length alone say
+    which subgroup a Coset belongs to.  coset_of builds through a trusted
+    path that skips the check.
+    """
 
     prime: Prime
     representative: int
     members: tuple[int, ...]  # ascending
-    member_set: frozenset[int] = dc_field(repr=False, compare=False, default=frozenset())
+    member_set: frozenset[int] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.member_set:
-            object.__setattr__(self, "member_set", frozenset(self.members))
+        p, m = self.prime.p, self.members
+        d = len(m)
+        if not (
+            d
+            and (p - 1) % d == 0
+            and m[0] == self.representative
+            and 0 < m[0]
+            and m[-1] < p
+            and all(a < b for a, b in zip(m, m[1:]))
+            and len({pow(v, d, p) for v in m}) == 1
+        ):
+            rep = self.representative
+            raise ValueError(f"coset of {rep} is not a coset of a subgroup of F_{p}*")
+        object.__setattr__(self, "member_set", frozenset(m))
 
     def __contains__(self, v: int) -> bool:
         return v in self.member_set
@@ -110,7 +131,12 @@ def coset_of(v: int, G: Subgroup) -> Coset:
     if v == 0:
         raise ZeroValue("0 belongs to no multiplicative coset")
     members = tuple(sorted(v * g % p for g in G.elements))
-    return Coset(G.prime, members[0], members)
+    c = object.__new__(Coset)  # v * G is a coset by construction: skip the check
+    object.__setattr__(c, "prime", G.prime)
+    object.__setattr__(c, "representative", members[0])
+    object.__setattr__(c, "members", members)
+    object.__setattr__(c, "member_set", frozenset(members))
+    return c
 
 
 @dataclass(frozen=True)

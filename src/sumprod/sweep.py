@@ -433,7 +433,8 @@ def evaluate(inst: dict) -> Verdict | GrowthReport | FactorizationProbe:
     prime = G.prime
     if kind == "thmap":
         fs = _univariates(inst["poly"], prime)
-        return verify_fiber_bound(fs, [coset_of(r, G) for r in inst["coset_reps"]], G)
+        cosets = [coset_of(r, G) for r in inst["coset_reps"]]
+        return verify_fiber_bound(fs, cosets, G, max_pairs=inst["max_pairs"])
     P = parse_bipoly(inst["poly"], prime)
     if kind == "probe":
         A, B = value_set(prime, inst["A"]), value_set(prime, inst["B"])

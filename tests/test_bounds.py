@@ -23,7 +23,13 @@ from sumprod.errors import DuplicateY, NotRequired, SizeBudget, ZeroShift
 from sumprod.field import is_prime_u64, make_prime
 from sumprod.poly import UniPoly, is_permissible, is_required, parse_bipoly
 from sumprod.setops import sumset, value_set
-from sumprod.subgroup import coset_of, enumerate_subgroups, is_admitted, subgroup_of_order
+from sumprod.subgroup import (
+    Coset,
+    coset_of,
+    enumerate_subgroups,
+    is_admitted,
+    subgroup_of_order,
+)
 
 P13 = make_prime(13)
 G3 = subgroup_of_order(P13, 3)
@@ -187,6 +193,33 @@ def test_fiber_bound_not_permissible():
     assert not v.premise_ok
     assert v.premise_reason.startswith("not-permissible:")
     assert "[0]" in v.premise_reason or "[1]" in v.premise_reason
+
+
+def test_fiber_bound_rejects_cosets_of_other_subgroups():
+    f1 = UniPoly.from_list(13, [1, 1])
+    f2 = UniPoly.from_list(13, [12, 1])
+    G4, G6 = subgroup_of_order(P13, 4), subgroup_of_order(P13, 6)
+    G3_at_7 = subgroup_of_order(make_prime(7), 3)
+    for other in (coset_of(2, G4), coset_of(1, G6), coset_of(2, G3_at_7)):
+        with pytest.raises(ValueError, match="is not a coset of the given subgroup"):
+            verify_fiber_bound([f1, f2], [coset_of(1, G3), other], G3)
+    # a hand-built coset is checked when it is built; a true one is accepted
+    with pytest.raises(ValueError, match="is not a coset of"):
+        verify_fiber_bound([f1, f2], [coset_of(1, G3), Coset(P13, 2, (2, 3, 5))], G3)
+    built = Coset(P13, 2, (2, 5, 6))
+    assert built == coset_of(6, G3)
+    assert verify_fiber_bound([f1, f2], [built, built], G3) == verify_fiber_bound(
+        [f1, f2], [coset_of(2, G3)] * 2, G3
+    )
+
+
+def test_fiber_bound_scan_budget():
+    # a family with no linear member is scanned over F_p, under max_pairs
+    fs = [UniPoly.from_list(13, [1, 0, 1]), UniPoly.from_list(13, [2, 0, 1])]
+    c = coset_of(1, G3)
+    with pytest.raises(SizeBudget):
+        verify_fiber_bound(fs, [c, c], G3, max_pairs=12)
+    assert verify_fiber_bound(fs, [c, c], G3, max_pairs=13).inequality == "thmap"
 
 
 def _primes_around(d, edge, count):

@@ -194,6 +194,116 @@ def test_fiber_matches_shifted_intersections(data):
     assert got == expect
 
 
+def _random_member(rng, p, degree):
+    """A random polynomial of exactly the given degree (0, 1 or 2) over F_p."""
+    coeffs = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+    return UniPoly.from_list(p, coeffs)
+
+
+def _brute_fiber(fs, cosets, p):
+    return [x for x in range(p) if all(f(x) in c.members for f, c in zip(fs, cosets))]
+
+
+def test_fiber_walk_matches_scan_below_200():
+    # every prime below 200 and every order: the walk of families with one,
+    # two or three linear members (plus quadratics and constants) against the
+    # F_p scan, and nonlinear-only families, which fiber_set scans, against
+    # a Python loop over F_p
+    rng = random.Random(2026)
+    walked = scanned = nonempty = 0
+    for p in [q for q in range(3, 200) if all(q % r for r in range(2, q))]:
+        prime = make_prime(p)
+        for G in enumerate_subgroups(prime):
+            for n_linear, others in ((1, ()), (1, (2,)), (2, ()), (2, (2, 0)), (3, (2,))):
+                degrees = [1] * n_linear + list(others)
+                rng.shuffle(degrees)
+                fs = [_random_member(rng, p, d) for d in degrees]
+                cosets = [coset_of(rng.randrange(1, p), G) for _ in fs]
+                walk = setops._walk_fiber(fs, cosets, p)
+                assert walk == setops._scan_fiber(fs, cosets, p), (p, G.order, fs)
+                assert fiber_set(fs, cosets).members == tuple(walk)
+                walked += 1
+                nonempty += bool(walk)
+            fs = [_random_member(rng, p, 2) for _ in range(2)]
+            cosets = [coset_of(rng.randrange(1, p), G) for _ in fs]
+            assert list(fiber_set(fs, cosets).members) == _brute_fiber(fs, cosets, p)
+            scanned += 1
+    assert walked > 1500 and scanned > 300 and nonempty > walked // 4
+
+
+def _explicit_coset(rep, G):
+    """rep * G from powers of G's generator, without coset_of."""
+    p, out, h = G.p, set(), 1
+    for _ in range(G.order):
+        out.add(rep * h % p)
+        h = h * G.generator % p
+    return out
+
+
+@pytest.mark.parametrize("p, d", [(2**32 - 5, 190), (2**32 + 15, 11790)])
+def test_fiber_walk_above_2_31_matches_a_nested_loop(p, d):
+    G = subgroup_of_order(make_prime(p), d)
+    rng = random.Random(p)
+    f1 = _random_member(rng, p, 1)
+    g = G.elements[rng.randrange(1, d)]
+    f2 = f1.scale(g)  # f2(x) = g*f1(x): in f1's coset whenever f1(x) is
+    f3 = f1 * f1
+    f4 = _random_member(rng, p, 1)
+    x0 = rng.randrange(p)
+    c1 = coset_of(f1(x0), G)
+    c4 = coset_of(f4(x0), G)  # x0 is in every fiber below that uses f4
+    c_sq = coset_of(c1.representative ** 2, G)
+    cases = [
+        ([f1, f2], [c1, c1]),
+        ([f1, f2, f3], [c1, c1, c_sq]),
+        ([f1, f4], [c1, c4]),
+        ([f3, f1, f4], [c_sq, c1, c4]),
+        ([f4, f1], [c4, coset_of(rng.randrange(1, p), G)]),
+    ]
+    inv = pow(f1.coeffs[1], p - 2, p)  # Fermat, not pow(a, -1, p)
+    for fs, cosets in cases:
+        explicit = [_explicit_coset(c.representative, G) for c in cosets]
+        k = fs.index(f1)
+        expect = set()
+        for c in explicit[k]:  # the nested loop: preimages of f1's coset x every member
+            x = (c - f1.coeffs.get(0, 0)) * inv % p
+            assert f1(x) == c
+            if all(f(x) in e for f, e in zip(fs, explicit)):
+                expect.add(x)
+        assert fiber_set(fs, cosets).members == tuple(sorted(expect))
+    assert len(fiber_set(*cases[0]).members) == d
+    assert len(fiber_set(*cases[1]).members) == d
+    assert x0 in fiber_set(*cases[2]).members
+    if d == 190:  # small enough for a loop over both cosets' pairs
+        b1, b4 = f1.coeffs.get(0, 0), f4.coeffs.get(0, 0)
+        inv4 = pow(f4.coeffs[1], p - 2, p)
+        explicit4 = _explicit_coset(c4.representative, G)
+        pairs = set()
+        for c in _explicit_coset(c1.representative, G):
+            for e in explicit4:
+                if (c - b1) * inv % p == (e - b4) * inv4 % p:
+                    pairs.add((c - b1) * inv % p)
+        assert fiber_set([f1, f4], [c1, c4]).members == tuple(sorted(pairs))
+
+
+def test_fiber_scan_counts_against_the_budget():
+    p = 31
+    G = subgroup_of_order(make_prime(p), 5)
+    quad = [UniPoly.from_list(p, [1, 0, 1]), UniPoly.from_list(p, [3, 2, 1])]
+    cosets = [coset_of(1, G), coset_of(3, G)]
+    with pytest.raises(SizeBudget, match="scan of 31 points exceeds budget 30"):
+        fiber_set(quad, cosets, max_pairs=p - 1)
+    assert list(fiber_set(quad, cosets, max_pairs=p).members) == _brute_fiber(quad, cosets, p)
+    # a family with a linear member walks its cosets and never scans
+    big = 2**32 + 15
+    G = subgroup_of_order(make_prime(big), 11790)
+    fs = [UniPoly.from_list(big, [5, 1]), UniPoly.from_list(big, [1, 0, 1])]
+    cosets = [coset_of(7, G), coset_of(11, G)]
+    fiber_set(fs, cosets, max_pairs=1)
+    with pytest.raises(SizeBudget):
+        fiber_set(fs[1:], cosets[1:])
+
+
 # --- count_zero_pairs ------------------------------------------------------------
 
 

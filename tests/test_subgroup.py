@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from sumprod.errors import ZeroValue
 from sumprod.field import divisors, make_prime
 from sumprod.subgroup import (
+    Coset,
     Subgroup,
     coset_of,
     coset_partition,
@@ -117,6 +118,23 @@ def test_coset_examples():
         coset_of(0, G)
     with pytest.raises(ZeroValue):
         coset_of(13, G)
+
+
+def test_hand_built_cosets_are_checked():
+    assert Coset(P13, 2, (2, 5, 6)) == coset_of(2, subgroup_of_order(P13, 3))
+    assert Coset(P13, 1, tuple(range(1, 13))).member_set == frozenset(range(1, 13))
+    for rep, members in [
+        (2, (2, 3, 5)),  # three residues, but not one coset of the order-3 subgroup
+        (5, (2, 5, 6)),  # representative is not the smallest member
+        (2, (6, 5, 2)),  # not ascending
+        (2, (2, 5, 6, 6)),  # repeated member
+        (0, (0, 1, 3, 9)),  # zero lies in no coset
+        (2, (2, 5, 6, 15)),  # out of range
+        (1, (1, 3, 9, 12, 5)),  # 5 does not divide p - 1
+        (1, ()),
+    ]:
+        with pytest.raises(ValueError, match="is not a coset of"):
+            Coset(P13, rep, members)
 
 
 def test_partition_examples():

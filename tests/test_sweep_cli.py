@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -267,12 +268,24 @@ print(json.dumps(seen))
 """
 
 
-def test_gv_and_homogeneous_sweeps_leave_numpy_out(tmp_path):
-    """The import, gv sweeps and the homogeneous-form t2/vm/growth sweeps run
-    on Python ints and never load numpy; a non-homogeneous t2 sweep, last,
-    does, so the probe is live.  t2 runs at a prime below 2^32 and one above."""
+# thmap at the largest prime below 2^32 and a prime above it, where the
+# F_p scan would cover 4.3e9 points per record
+THMAP_ABOVE_2_31 = {
+    "inequality": "thmap", "primes": [4294967291, 4294967311], "orders": [190, 11790],
+    "params": {"pair_count": 3}, "seed": 5,
+}
+
+
+def test_gv_homogeneous_and_thmap_sweeps_leave_numpy_out(tmp_path):
+    """The import, gv sweeps, the homogeneous-form t2/vm/growth sweeps and
+    thmap sweeps run on Python ints and never load numpy; a non-homogeneous
+    t2 sweep, last, does, so the probe is live.  t2 and thmap run at a prime
+    below 2^32 and one above."""
     configs = [os.path.join(CONFIG_DIR, f"{name}.json")
-               for name in ("gv_small", "growth_probe", "vm_sampled")]
+               for name in ("gv_small", "growth_probe", "vm_sampled", "thmap_window")]
+    thmap_path = tmp_path / "thmap.json"
+    thmap_path.write_text(json.dumps(THMAP_ABOVE_2_31))
+    configs.append(str(thmap_path))
     for i, polys in enumerate((["x+y", "x^2+y^2"], ["x*y+x+y"])):
         path = tmp_path / f"t2-{i}.json"
         path.write_text(json.dumps({
@@ -284,7 +297,35 @@ def test_gv_and_homogeneous_sweeps_leave_numpy_out(tmp_path):
     argvs = [["sweep", "--config", c, "--out", out, "--jobs", "1"] for c in configs]
     run = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)],
                          capture_output=True, text=True, check=True)
-    assert json.loads(run.stdout) == [False] * 5 + [True]
+    assert json.loads(run.stdout) == [False] * 7 + [True]
+
+
+def test_thmap_sweep_above_2_31_runs_in_seconds(tmp_path):
+    cfg_path = tmp_path / "thmap.json"
+    cfg_path.write_text(json.dumps(THMAP_ABOVE_2_31))
+    reports = []
+    for jobs in (1, 2):
+        out = tmp_path / f"out-{jobs}.jsonl"
+        t0 = time.monotonic()
+        rc = main(["sweep", "--config", str(cfg_path), "--out", str(out), "--jobs", str(jobs)])
+        assert rc == 0 and time.monotonic() - t0 < 10
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    records = [json.loads(line) for line in reports[0].splitlines()]
+    assert [(r["p"], r["order"]) for r in records] == [(4294967291, 190)] * 3 + [
+        (4294967311, 11790)
+    ] * 3
+    assert all(r["premise_ok"] and r["holds"] for r in records)
+
+
+def test_nonlinear_thmap_over_budget_is_a_budget_record():
+    inst = {
+        "kind": "thmap", "seed": 1, "max_pairs": 10**6, "ext_elements": 10**6,
+        "p": 4294967311, "order": 11790, "poly": "x^2+3;x^2+7", "coset_reps": [5, 9],
+    }
+    rec = run_instance(inst)
+    assert rec["premise_reason"] == "budget: scan of 4294967311 points exceeds budget 1000000"
+    assert rec["premise_ok"] is False and rec["holds"] is None
 
 
 # --- report emission ----------------------------------------------------------
