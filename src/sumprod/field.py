@@ -32,6 +32,7 @@ if TYPE_CHECKING:
 MAX_PRIME = 2**64 - 1
 DLOG_TABLE_LIMIT = 1 << 22
 EXT_ELEMENT_BUDGET = 1 << 17
+EXT_MAX_DEGREE = 6
 _TABLE_POWERS = 5  # x^0 .. x^4: enough for forms of total degree <= 4
 
 # Deterministic witness set: correct for every n < 3.3 * 10^24 (covers 64 bits).
@@ -315,11 +316,13 @@ class ExtField:
     `power_digits[k, :, x]` holds the d digits of x^k, and
     `power_matrices[x, :, k, :]` is the d*d matrix over F_p of multiplication
     by x^k on digit vectors (column e is x^k * t^e).  Entries lie in [0, p).
+    `budget` is the element budget the field was built under, so that caches
+    keyed by (p, d, budget) resolve it through `_ext_field_cached`.
     """
 
     def __init__(self, prime: Prime, d: int, budget: int = EXT_ELEMENT_BUDGET):
-        if not 1 <= d <= 6:
-            raise ValueError(f"extension degree must be in [1, 6], got {d}")
+        if not 1 <= d <= EXT_MAX_DEGREE:
+            raise ValueError(f"extension degree must be in [1, {EXT_MAX_DEGREE}], got {d}")
         p = prime.p
         q = p**d
         if q > budget:
@@ -330,6 +333,7 @@ class ExtField:
         self.p = p
         self.d = d
         self.q = q
+        self.budget = budget
         self.modulus, self.exp = _smallest_primitive(p, d)
         log = np.full(q, -1, dtype=np.int64)
         log[self.exp] = np.arange(q - 1)
@@ -428,11 +432,11 @@ class ExtField:
 
 @lru_cache(maxsize=64)
 def _ext_field_cached(p: int, d: int, budget: int) -> ExtField:
+    # Prime(p) certifies ints passed directly; lru_cache caches no exception,
+    # so a composite p raises on every call
     return ExtField(Prime(p), d, budget)
 
 
 def ext_field(prime: Prime | int, d: int, budget: int = EXT_ELEMENT_BUDGET) -> ExtField:
     """The canonical F_{p^d} handle (cached; same object for same arguments)."""
-    p = int(prime)
-    Prime(p)  # re-certify ints passed directly
-    return _ext_field_cached(p, d, budget)
+    return _ext_field_cached(int(prime), d, budget)

@@ -15,9 +15,13 @@ h(x, y) - alpha stays irreducible over the algebraic closure:
   h(t, 1), which needs deg h < p.
 * `factor_oracle` knows nothing about that criterion: it enumerates every
   normalized candidate divisor with coefficients in F_{p^d}, d <= d_max, and
-  tests divisibility.  Linear candidates are evaluated all at once per field:
-  numpy matmuls over the field's digit tables (`ExtField.power_digits`,
-  `ExtField.power_matrices`) settle every code, reduced mod p.  Quadratic
+  tests divisibility.  Linear candidates are first filtered by the root sets
+  of one-variable slices of Q (its x-coefficient rows, Q(x, 0) and its top
+  form at y = 1).  Each root set is found by evaluating the slice at every
+  code of the field (`ExtField.power_digits`), never by gcds or factoring:
+  the oracle calls none of `squarefree_decomposition`, `uni_gcd` or
+  `proper_power_form`.  The surviving candidates are settled by numpy
+  matmuls over `ExtField.power_matrices`, reduced mod p.  Quadratic
   candidates (quartics only) are still tested one at a time on field codes,
   whose addition always runs on base-p digits.  The two routes are
   cross-checked exhaustively in the test suite and must never be merged.
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, gcd, inf
 from typing import Iterable, Optional
 
@@ -39,7 +44,14 @@ from .errors import (
     ZeroPolynomial,
     ZeroShift,
 )
-from .field import EXT_ELEMENT_BUDGET, ExtField, Prime, ext_field
+from .field import (
+    EXT_ELEMENT_BUDGET,
+    EXT_MAX_DEGREE,
+    ExtField,
+    Prime,
+    _ext_field_cached,
+    ext_field,
+)
 
 PARSE_DEGREE_CAP = 16
 NEG_INF = -inf
@@ -651,50 +663,87 @@ def abs_irreducible_shift(h: BiPoly, alpha: int, *, ext_budget: int = EXT_ELEMEN
 # exhaustive factor search (the independent route)
 
 DEFAULT_QUAD_CANDIDATES = 2_000_000
+ROOT_CACHE_SIZE = 4096  # distinct slices; an entry is a few hundred bytes
+
+
+@lru_cache(maxsize=ROOT_CACHE_SIZE)
+def _slice_roots(p: int, d: int, budget: int, coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """Codes of F_{p^d} at which sum_k coeffs[k] x^k vanishes, ascending.
+
+    coeffs are residues mod p, low degree first, at most five of them.  The
+    slice is evaluated at every code of the field in one matmul over its
+    digit table.  The field is looked up by its cache key, so an entry keeps
+    no `ExtField` alive after the field cache evicts it.
+    """
+    import numpy as np
+
+    F = _ext_field_cached(p, d, budget)
+    m = len(coeffs)
+    vals = np.array(coeffs, dtype=np.int64) @ F.power_digits[:m].reshape(m, -1) % p
+    return tuple(np.flatnonzero(~vals.reshape(d, -1).any(axis=0)).tolist())
+
+
+def _roots(F: ExtField, coeffs: list[int]) -> tuple[int, ...]:
+    """Roots in F of a nonzero univariate over F_p given low degree first."""
+    top = len(coeffs)
+    while not coeffs[top - 1]:
+        top -= 1
+    return _slice_roots(F.p, F.d, F.budget, tuple(coeffs[:top]))
 
 
 def _linear_factor_exists(Q: BiPoly, F: ExtField) -> bool:
     """Any total-degree-1 divisor of Q with coefficients in F?
 
-    Candidates are normalized: y - c, or x - (b*y + g).  Every candidate is
-    tested, batched over all codes of F on its digit tables.  Each matmul
-    entry sums at most 5*d products of residues below p, so int64 stays exact
-    for every field whose tables fit in memory:
+    Candidates are normalized: y - c, or x - (b*y + g).  Each family is
+    filtered by the root sets of one-variable slices of Q, read from
+    `_slice_roots`:
 
-    * y - c divides Q iff every x-coefficient row sum_j c_ij y^j vanishes
-      at c, evaluated at all c at once;
-    * x - (b*y + g) divides Q iff Q(b*y + g, y) = 0, which forces
-      Q(g, 0) = 0.  For each root g, Q(b*y + g, y) = sum_t y^t sum_k b^k
-      A_tk(g) with A_tk(g) = sum_i c_{i,t-k} binom(i, k) g^(i-k); one matmul
-      over the multiplication-by-b^k matrices evaluates it for every b.
+    * y - c divides Q iff c is a common root of every nonzero x-coefficient
+      row sum_j c_ij y^j, so the common roots settle this family;
+    * x - (b*y + g) divides Q iff Q(b*y + g, y) = 0.  Its y^0 coefficient
+      is Q(g, 0) and its y^n coefficient is Q_n(b, 1), Q_n the top form of
+      Q, so g must be a root of Q(x, 0) and b a root of Q_n(x, 1).  For each
+      such g, Q(b*y + g, y) = sum_t y^t sum_k b^k A_tk(g) with
+      A_tk(g) = sum_i c_{i,t-k} binom(i, k) g^(i-k); one matmul over the
+      multiplication-by-b^k matrices evaluates it for every such b.  Each
+      matmul entry sums at most 5*d products of residues below p, so int64
+      stays exact for every field whose tables fit in memory.
 
     Q(x, 0) is nonzero here: divisibility by y is handled by the caller.
     """
     import numpy as np
 
-    p, q, d, n = F.p, F.q, F.d, Q.total_degree
-    pows = F.power_digits[: n + 1]  # [m, r, x]: digits of x^m
-    C = [[0] * (n + 1) for _ in range(n + 2)]  # C[i][j] = c_ij; row n+1: Q(x, 0)
+    p, d, n = F.p, F.d, Q.total_degree
+    C = [[0] * (n + 1) for _ in range(n + 1)]  # C[i][j] = c_ij
     for (i, j), c in Q.coeffs.items():
         C[i][j] = c
-        if j == 0:
-            C[n + 1][i] = c
-    vals = (np.array(C) @ pows.reshape(n + 1, d * q) % p).reshape(n + 2, d, q)
-    if not vals[: n + 1].reshape(-1, q).any(axis=0).all():
-        return True  # every row vanishes at some c
-    roots = np.flatnonzero(~vals[n + 1].any(axis=0))
-    if roots.size == 0:
+    common: Optional[set[int]] = None
+    for row in C:
+        if any(row):
+            roots = _roots(F, row)
+            common = set(roots) if common is None else common.intersection(roots)
+            if not common:
+                break
+    if common:
+        return True
+    gs = list(_roots(F, [row[0] for row in C]))
+    if not gs:
+        return False
+    bs = list(_roots(F, [C[i][n - i] for i in range(n + 1)]))
+    if not bs:
         return False
 
     B = np.zeros((n + 1, n + 1, n + 1), dtype=np.int64)  # B[t, k, i - k]: terms of A_tk
     for (i, j), c in Q.coeffs.items():
         for k in range(i + 1):
             B[j + k, k, i - k] += c * comb(i, k)
-    A = B.reshape(-1, n + 1) % p @ pows[:, :, roots].reshape(n + 1, -1) % p  # [(t, k), (e, g)]
+    pows = F.power_digits[: n + 1, :, gs]  # [m, r, g]: digits of g^m
+    A = B.reshape(-1, n + 1) % p @ pows.reshape(n + 1, -1) % p  # [(t, k), (e, g)]
     A = A.reshape(n + 1, n + 1, d, -1).transpose(1, 2, 3, 0).reshape((n + 1) * d, -1)
-    W = F.power_matrices.reshape(q * d, -1)[:, : (n + 1) * d]  # rows (b, r), columns (k, e)
-    vals = (W @ A % p).reshape(q, d, roots.size, n + 1).transpose(0, 2, 1, 3)  # [b, g, r, t]
-    return not vals.reshape(q * roots.size, -1).any(axis=1).all()
+    # rows (b, r), columns (k, e)
+    W = F.power_matrices[bs].reshape(len(bs) * d, -1)[:, : (n + 1) * d]
+    vals = (W @ A % p).reshape(len(bs), d, len(gs), n + 1).transpose(0, 2, 1, 3)  # [b, g, r, t]
+    return not vals.reshape(len(bs) * len(gs), -1).any(axis=1).all()
 
 
 _GLEX_LEADS = (
@@ -759,10 +808,15 @@ def factor_oracle(
 
     Works by exhaustive enumeration of normalized candidate divisors and is
     deliberately independent of the multiplicity criterion.  Degree-1
-    candidates are searched for every d <= d_max; degree-2 candidates (needed
-    only when deg Q = 4) are searched over d <= 2, which is enough: a quartic
-    with any in-range factor always has a witness that is either linear or a
-    quadratic over F_p or F_{p^2}.  Total degree of Q must be <= 4.
+    candidates are searched over the largest fields that fit the budget,
+    which contain the others: F_{p^d} is skipped when F_{p^(2d)}, 2d <= d_max,
+    fits, as that field or a larger one holding it is searched.  Fields are
+    visited in ascending order, so a field over the budget raises
+    `BudgetExceeded` only after every smaller field has been covered.
+    Degree-2 candidates (needed only when deg Q = 4) are searched over
+    d <= 2, which is enough: a quartic with any in-range factor always has a
+    witness that is either linear or a quadratic over F_p or F_{p^2}.  Total
+    degree of Q must be <= 4.
     """
     if Q.is_zero():
         raise ZeroPolynomial("the zero polynomial is not a valid input")
@@ -778,9 +832,11 @@ def factor_oracle(
         return True  # y | Q
     if all(i >= 1 for i, _ in Q.coeffs):
         return True  # x | Q
+    p = Q.p
     for d in range(1, d_max + 1):
-        F = ext_field(Q.p, d, ext_budget)
-        if _linear_factor_exists(Q, F):
+        if 2 * d <= min(d_max, EXT_MAX_DEGREE) and p ** (2 * d) <= ext_budget:
+            continue  # F_{p^d} lies in F_{p^(2d)}
+        if _linear_factor_exists(Q, ext_field(p, d, ext_budget)):
             return True
     if n == 4:
         for d in range(1, min(2, d_max) + 1):

@@ -237,6 +237,13 @@ def test_ext_field_budget():
         ext_field(3, 12)  # degree above the supported window
 
 
+def test_ext_field_rejects_a_composite_on_every_call():
+    # the field cache stores no exception, so the certification runs again
+    for _ in range(2):
+        with pytest.raises(CompositeInput):
+            ext_field(9, 2)
+
+
 def test_ext_field_exp_log_roundtrip():
     for p, d in [(3, 3), (359, 2), (7, 6)]:
         F = ext_field(p, d)

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sumprod.errors import (
+    BudgetExceeded,
     DegreeOverflow,
     DegreeVsCharacteristic,
     NotHomogeneous,
@@ -14,6 +17,7 @@ from sumprod.poly import (
     BiPoly,
     UniPoly,
     _linear_factor_exists,
+    _slice_roots,
     abs_irreducible_shift,
     factor_oracle,
     is_good,
@@ -413,6 +417,71 @@ def test_linear_factor_search_products_exceed_32_bits():
     F = ext_field(p, 1)
     assert _linear_factor_exists(BiPoly(p, {(2, 0): a, (0, 2): -a * r}), F) is True
     assert _linear_factor_exists(BiPoly(p, {(2, 0): a, (0, 2): -a * nr}), F) is False
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=small_field_poly())
+def test_factor_oracle_matches_scalar_reference_over_every_field(case):
+    # the oracle skips F_{p^d} inside a larger searched field; the reference
+    # searches every field
+    Q, p, _ = case
+    assume(Q.total_degree in (2, 3))
+    found = False
+    for d_max in range(1, 5):
+        found = found or _ref_linear_factor_exists(Q, ext_field(p, d_max))
+        assert factor_oracle(Q, d_max) == found, d_max
+
+
+def _roots_by_evaluation(coeffs, F):
+    def value(x):
+        acc = 0
+        for k, a in enumerate(coeffs):
+            acc = F.add(acc, F.mul(F.embed(a), F.pow(x, k)))
+        return acc
+
+    return tuple(x for x in range(F.q) if value(x) == 0)
+
+
+@pytest.mark.parametrize("p, d", [(3, 2), (5, 2)])
+def test_slice_roots_match_evaluation_at_every_code(p, d):
+    F = ext_field(p, d)
+    for coeffs in itertools.product(range(p), repeat=3):
+        top = max((k for k, a in enumerate(coeffs) if a), default=None)
+        if top is None:
+            continue  # the zero polynomial is no slice
+        coeffs = coeffs[: top + 1]
+        assert _slice_roots(p, d, F.budget, coeffs) == _roots_by_evaluation(coeffs, F), coeffs
+
+
+def test_slice_roots_are_cached_per_field():
+    # x^2 + 3: over F_5 it is x^2 - 2, a non-residue, so its roots lie in
+    # F_25 but not F_125; over F_7 it is x^2 - 4 with roots 2 and 5
+    coeffs = (3, 0, 1)
+    expected = {}
+    for p, d in ((5, 2), (5, 3), (7, 2), (5, 2)):
+        F = ext_field(p, d)
+        roots = _slice_roots(p, d, F.budget, coeffs)
+        assert roots == _roots_by_evaluation(coeffs, F), (p, d)
+        assert expected.setdefault((p, d), roots) == roots
+    assert len(expected[(5, 2)]) == 2 and all(r >= 5 for r in expected[(5, 2)])
+    assert expected[(5, 3)] == ()
+    assert expected[(7, 2)] == (2, 5)
+
+
+def test_factor_oracle_subfield_skip_keeps_budget_behaviour():
+    # F_p is skipped only when a larger field holding it fits the budget.
+    # At p = 59, d_max = 3 the oracle must still search F_{59^2} before
+    # F_{59^3} (59^3 > 2^17) raises; at p = 367, 367^2 > 2^17, so F_367 must
+    # be searched itself
+    P59, P367 = make_prime(59), make_prime(367)
+    assert factor_oracle(parse_bipoly("x^2-y^2", P59), 3) is True
+    assert factor_oracle(parse_bipoly("(x+y+1)*(x+2*y+3)", P59), 3) is True
+    with pytest.raises(BudgetExceeded, match=r"^p\^d = 205379 exceeds the element budget 131072$"):
+        factor_oracle(parse_bipoly("x^2+y^2-1", P59), 3)
+    assert factor_oracle(parse_bipoly("x^2-y^2", P367), 2) is True
+    assert factor_oracle(parse_bipoly("(x+y+1)*(x+2*y+3)", P367), 2) is True
+    with pytest.raises(BudgetExceeded, match=r"^p\^d = 134689 exceeds the element budget 131072$"):
+        factor_oracle(parse_bipoly("x^2+y^2-1", P367), 2)
 
 
 def test_criterion_matches_oracle_spot_checks():
