@@ -24,7 +24,7 @@ from .bounds import (
     verify_shift_overlap_bound,
 )
 from .errors import WorkbenchError
-from .field import ExtField, FieldElement, Prime, ext_field, make_prime, primitive_root
+from .field import ExtField, Prime, ext_field, make_prime
 from .poly import (
     BiPoly,
     UniPoly,

@@ -30,7 +30,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 MAX_PRIME = 2**64 - 1
-DLOG_TABLE_LIMIT = 1 << 22
 EXT_ELEMENT_BUDGET = 1 << 17
 EXT_MAX_DEGREE = 6
 _TABLE_POWERS = 5  # x^0 .. x^4: enough for forms of total degree <= 4
@@ -87,78 +86,6 @@ class Prime:
 def make_prime(n: int) -> Prime:
     """Certify n and wrap it.  Raises CompositeInput / ValueError."""
     return Prime(n)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A residue mod p with exact operator arithmetic."""
-
-    value: int
-    prime: Prime
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.prime.p)
-
-    @property
-    def p(self) -> int:
-        return self.prime.p
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.prime.p != self.prime.p:
-                raise ValueError("mixed moduli")
-            return other
-        if isinstance(other, int):
-            return FieldElement(other, self.prime)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else FieldElement(self.value + o.value, self.prime)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else FieldElement(self.value - o.value, self.prime)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else FieldElement(o.value - self.value, self.prime)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else FieldElement(self.value * o.value, self.prime)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else self * inv(o)
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.prime)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return inv(self) ** (-e)
-        return FieldElement(pow(self.value, e, self.prime.p), self.prime)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.prime.p})"
-
-
-def inv(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse; ZeroInverse on 0."""
-    if a.value == 0:
-        raise ZeroInverse(f"0 has no inverse mod {a.p}")
-    return FieldElement(pow(a.value, -1, a.p), a.prime)
 
 
 def _pollard_rho(n: int) -> int:
@@ -228,29 +155,8 @@ def _is_primitive_root(g: int, p: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _primitive_root_int(p: int) -> int:
+    """The smallest generator of F_p^*."""
     return next(g for g in range(2, p) if _is_primitive_root(g, p))
-
-
-def primitive_root(prime: Prime) -> FieldElement:
-    """Smallest generator of the full multiplicative group mod p."""
-    return FieldElement(_primitive_root_int(prime.p), prime)
-
-
-def dlog_table(prime: Prime) -> list[int]:
-    """table[x] = k with g^k = x for the canonical generator g; table[0] = -1.
-
-    Only built for p <= 2^22 (one int per residue).
-    """
-    p = prime.p
-    if p > DLOG_TABLE_LIMIT:
-        raise BudgetExceeded(f"dlog table limited to p <= {DLOG_TABLE_LIMIT}, got {p}")
-    g = _primitive_root_int(p)
-    table = [-1] * p
-    acc = 1
-    for k in range(p - 1):
-        table[acc] = k
-        acc = acc * g % p
-    return table
 
 
 def _smallest_primitive(p: int, d: int) -> tuple[tuple[int, ...], list[int]]:

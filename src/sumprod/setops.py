@@ -8,9 +8,10 @@ pairs, level pairs) take O(|G|) work: P(a, a*t) = a^n * P(1, t), and
 element of H = {a^n : a in G}.  H has order k = |G|/gcd(n, |G|) and is the
 kernel of v -> v^k, so nonzero values lie in one H-coset exactly when their
 k-th powers agree; the counts follow from the k-th powers of the |G| values
-P(1, t) (see _homogeneous_keys), in plain Python ints, as are
-shift_intersection and fiber_set, which walks the coset preimages of a
-family's linear members.  Everything else is full enumeration: the grid
+P(1, t) (see _homogeneous_keys), in plain Python ints.  shift_intersection
+is one such count: |G ∩ (G + mu)| is read from the key histogram of x - y
+(shift_histogram).  fiber_set walks the coset preimages of a family's
+linear members, also in Python ints.  Everything else is full enumeration: the grid
 kernels (image, sumset, counts of non-homogeneous P) and the F_p scan of a
 family with no linear member import numpy on first use and work in
 fixed-size chunks on one path for every prime; only the dtype depends on
@@ -21,11 +22,13 @@ sorting.  Budgets cap pairs (or scanned points), not answers.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import (
     CosetCollision,
@@ -185,16 +188,8 @@ def _homogeneous_keys(P: BiPoly, G: Subgroup, n: int) -> tuple[int, int, Counter
     p = G.p
     e = math.gcd(n, G.order)
     k = G.order // e
-    f = P.subst_x(1)
-    zeros = 0
-    keys: Counter = Counter()
-    for t in G.elements:
-        v = f(t)
-        if v:
-            keys[pow(v, k, p)] += 1
-        else:
-            zeros += 1
-    return e, zeros, keys
+    values = list(map(P.subst_x(1), G.elements))
+    return e, values.count(0), Counter([pow(v, k, p) for v in values if v])
 
 
 def image(P: BiPoly, A: ValueSet, B: ValueSet, *, max_pairs: int = DEFAULT_MAX_PAIRS) -> ValueSet:
@@ -242,25 +237,30 @@ def sumset(A: ValueSet, B: ValueSet, sign: int = 1) -> ValueSet:
     return _trusted_value_set(prime, _distinct(grids).tolist())
 
 
-def shift_intersection(G: Subgroup, mu: int) -> int:
-    """|G ∩ (G + mu)| — how many g in G have g - mu also in G.
+@functools.lru_cache(maxsize=32)
+def shift_histogram(G: Subgroup) -> Mapping[int, int]:
+    """|G ∩ (G + mu)| by the coset key mu^|G| mod p, for the keys that count
+    at least 1: the key histogram of the form x - y over G x G
+    (_homogeneous_keys with n = 1, so e = 1 and k = |G|).
 
-    The count is the same for every shift in the coset mu*G: for h in G,
-    G ∩ (G + mu*h) = h * (G ∩ (G + mu)), because multiplying by h permutes
-    G.  So each count is computed once per coset and cached on G under the
-    coset key mu^|G| mod p, which a sweep over all mu then reuses.
+    g and g - mu both lie in G exactly when mu = g * (1 - t) for some
+    t = (g - mu)/g in G other than 1, and then g = mu/(1 - t); so the count
+    is the number of t != 1 in G with 1 - t in the coset mu*G, that is with
+    (1 - t)^|G| = mu^|G|.  Built once per subgroup and shared, so the
+    mapping is read-only.
     """
+    keys = _homogeneous_keys(BiPoly(G.p, {(1, 0): 1, (0, 1): -1}), G, 1)[2]
+    return MappingProxyType(keys)
+
+
+def shift_intersection(G: Subgroup, mu: int) -> int:
+    """|G ∩ (G + mu)| — how many g in G have g - mu also in G, read from
+    shift_histogram(G) at the key mu^|G| mod p."""
     p = G.p
     mu %= p
     if mu == 0:
         raise ZeroShift("shift must be nonzero")
-    key = pow(mu, G.order, p)
-    count = G.shift_counts.get(key)
-    if count is None:
-        members = G.member_set
-        count = sum(1 for g in G.elements if (g - mu) % p in members)
-        G.shift_counts[key] = count
-    return count
+    return shift_histogram(G).get(pow(mu, G.order, p), 0)
 
 
 def _walk_fiber(fs: Sequence[UniPoly], cosets: Sequence[Coset], p: int) -> list[int]:

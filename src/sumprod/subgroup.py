@@ -26,8 +26,6 @@ class Subgroup:
     generator: int
     elements: tuple[int, ...]  # ascending
     member_set: frozenset[int] = dc_field(repr=False, compare=False, default=frozenset())
-    # |G ∩ (G + mu)| by the coset key mu^|G| mod p (see setops.shift_intersection)
-    shift_counts: dict[int, int] = dc_field(repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if not self.member_set:

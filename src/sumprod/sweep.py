@@ -4,9 +4,10 @@ instance of any kind; `run_instance` turns its result into a record.
 
 A gv work unit is one subgroup (p, |G|) with a segment of its shifts mu;
 every other unit is one instance.  A gv record depends on mu only through
-lhs = |G ∩ (G + mu)|, which `shift_intersection` counts once per coset, so
-a gv unit evaluates each lhs value once and renders its record once, as a
-template line split where mu goes; each mu then costs one splice.
+lhs = |G ∩ (G + mu)|, which a gv unit reads for each mu from one key
+histogram per subgroup (`shift_histogram`) with one pow and one lookup.  It
+evaluates each lhs value once and renders its record once, as a template
+line split where mu goes, and keeps per mu only the index of its line.
 `generate_instances` expands the same units into one instance per record.
 
 Determinism contract: a config plus its seed pins the full unit list and
@@ -18,8 +19,12 @@ sorted units are cut into contiguous blocks of equally many records,
 splitting a subgroup's shifts where a block ends; each block runs (and, for
 `write_sweep`, renders) in one worker, and the parent consumes the blocks
 in order, so a report streams out block by block and the parent never holds
-every record.  Wall-clock time is deliberately absent from the serialized
-records.
+every record.  A gv worker sends back, per unit, its template lines and one
+small index per mu, not the report text, and the parent splices each mu
+into its line as it writes: the payload is a few percent of the text, and
+unlike per-worker block files it leaves no temporary files to name or to
+remove when a sweep fails.  Wall-clock time is deliberately absent from
+the serialized records.
 """
 
 from __future__ import annotations
@@ -28,10 +33,12 @@ import contextlib
 import csv
 import functools
 import io
+import itertools
 import json
 import os
 import random
 import sys
+from array import array
 from dataclasses import dataclass, field as dc_field, fields
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -50,7 +57,7 @@ from .bounds import (
 from .errors import BudgetExceeded, ConfigError, DegreeOverflow, ParseError, WorkbenchError
 from .field import EXT_ELEMENT_BUDGET, Prime, divisors, is_prime_u64, make_prime
 from .poly import UniPoly, is_required, parse_bipoly
-from .setops import DEFAULT_MAX_PAIRS, shift_intersection, value_set
+from .setops import DEFAULT_MAX_PAIRS, shift_histogram, value_set
 from .subgroup import Subgroup, coset_of, in_admitted_window, subgroup_of_order
 
 SCHEMA_VERSION = 1
@@ -494,24 +501,33 @@ def run_instance(inst: dict) -> dict:
 _MU = "<mu>"
 
 
-def _gv_shared(unit: dict, make) -> Iterator[tuple[int, Any]]:
-    """(mu, make(record)) for every shift of a gv unit.
+def _gv_shared(unit: dict, make) -> tuple[list, array]:
+    """The distinct make(record) of a gv unit, and per shift the index of its own.
 
-    The verdict depends on mu only through lhs = |G ∩ (G + mu)|, so each
-    lhs value is evaluated once, at its first mu, and its record, whose
+    The verdict depends on mu only through lhs = |G ∩ (G + mu)|, the count
+    of mu's coset key mu^|G| mod p in shift_histogram(G).  Each lhs value
+    is evaluated once, at the first mu that has it, and its record, whose
     detail reads "mu=<mu>", goes through make once and is shared by every
-    later mu with that lhs.
+    other mu with that lhs.  The indices take one byte
+    each while there are at most 256 records, as there almost always are.
     """
-    G = _subgroup(unit["p"], unit["order"])
+    p, d, mus = unit["p"], unit["order"], unit["mus"]
+    counts = shift_histogram(_subgroup(p, d))
     inst = {k: v for k, v in unit.items() if k != "mus"}
     shared = {**inst, "mu": _MU}
-    made: dict[int, Any] = {}
-    for mu in unit["mus"]:
-        lhs = shift_intersection(G, mu)
-        m = made.get(lhs)
-        if m is None:
-            m = made[lhs] = make(_fill(_base_record(shared), _outcome({**inst, "mu": mu})))
-        yield mu, m
+    keys = [pow(mu, d, p) for mu in mus]
+    first = dict(zip(reversed(keys), reversed(mus)))  # coset key -> its first mu
+    made: list = []
+    by_lhs: dict[int, int] = {}
+    line_of: dict[int, int] = {}  # coset key -> index into made
+    for key in dict.fromkeys(keys):
+        lhs = counts.get(key, 0)
+        i = by_lhs.get(lhs)
+        if i is None:
+            i = by_lhs[lhs] = len(made)
+            made.append(make(_fill(_base_record(shared), _outcome({**inst, "mu": first[key]}))))
+        line_of[key] = i
+    return made, array("B" if len(made) <= 256 else "L", map(line_of.__getitem__, keys))
 
 
 def _blocks(units: list[dict], size: int) -> list[list[dict]]:
@@ -571,7 +587,9 @@ def _run_block(units: list[dict]) -> list[dict]:
         if "mus" not in unit:
             records.append(run_instance(unit))
             continue
-        for mu, rec in _gv_shared(unit, lambda rec: rec):
+        made, picks = _gv_shared(unit, lambda rec: rec)
+        for mu, i in zip(unit["mus"], picks):
+            rec = made[i]
             records.append({**rec, "detail": f"mu={mu}", "extra": dict(rec["extra"])})
     return records
 
@@ -583,22 +601,28 @@ def _split_line(fmt: str, rec: dict) -> tuple[str, str, int]:
 
 
 def _render_block(fmt: str, units: list[dict]) -> tuple[str, int]:
-    """One block's report text (no CSV header) and its violation count.
+    """One block's report text (no CSV header) and its violation count."""
+    records = _run_block(units)
+    return render_report(records, fmt, header=False), count_violations(records)
 
-    A gv unit renders each shared record once; every mu then costs one
-    splice into its line.  Other units render their records.
+
+def _gv_block(fmt: str, units: list[dict]) -> list[tuple[Sequence[int], list, array]]:
+    """Per gv unit of a block: its shifts, its distinct report lines split
+    where mu goes (_split_line), and per shift the index of its line.
+
+    _splice turns each entry into the unit's report text.  A worker returns
+    these instead of the text, which pickles ten to fifty times larger.
     """
-    if not any("mus" in unit for unit in units):
-        records = _run_block(units)
-        return render_report(records, fmt, header=False), count_violations(records)
     split = functools.partial(_split_line, fmt)
-    parts: list[str] = []
-    violations = 0
-    for unit in units:
-        for mu, (head, tail, bad) in _gv_shared(unit, split):
-            parts.append(f"{head}{mu}{tail}")
-            violations += bad
-    return "".join(parts), violations
+    return [(unit["mus"], *_gv_shared(unit, split)) for unit in units]
+
+
+def _splice(mus: Sequence[int], lines: list, picks: array) -> tuple[str, int]:
+    """A gv unit's report text and violation count from its _gv_block entry."""
+    heads = [head for head, _, _ in lines]
+    tails = [tail for _, tail, _ in lines]
+    text = "".join([f"{heads[i]}{mu}{tails[i]}" for mu, i in zip(mus, picks)])
+    return text, sum(bad * picks.count(i) for i, (_, _, bad) in enumerate(lines) if bad)
 
 
 def run_sweep(cfg: SweepConfig, jobs: int | None = None) -> list[dict]:
@@ -670,21 +694,26 @@ def write_sweep(cfg: SweepConfig, fmt: str, path: str, jobs: int | None = None) 
     Each block runs and renders in its worker, and the blocks are written in
     order after one header, so the bytes equal
     render_report(run_sweep(cfg), fmt) while the parent holds at most the
-    text of the blocks not yet written.  The output is opened only after the
+    text of the blocks not yet written.  A gv block comes back as
+    _gv_block's lines and indices, and is spliced here one unit at a time,
+    at every job count.  The output is opened only after the
     config's instances have been generated.  If a block raises, a file this
     call created is removed again; an interrupted run keeps the blocks
     already written, each complete.
     """
     head = render_report([], fmt)  # the CSV header; empty for jsonl
-    with _block_results(functools.partial(_render_block, fmt), cfg, jobs) as blocks:
+    gv = cfg.inequality == "gv"
+    block_fn = functools.partial(_gv_block if gv else _render_block, fmt)
+    with _block_results(block_fn, cfg, jobs) as blocks:
         created = path != "-" and not os.path.lexists(path)
         violations = 0
         try:
             with _open_report(path) as out:
                 out.write(head)
-                for text, bad in blocks:
-                    out.write(text)
-                    violations += bad
+                for block in blocks:
+                    for text, bad in itertools.starmap(_splice, block) if gv else [block]:
+                        out.write(text)
+                        violations += bad
         except Exception:
             if created:
                 os.remove(path)

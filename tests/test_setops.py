@@ -24,6 +24,7 @@ from sumprod.setops import (
     fiber_set,
     image,
     image_size,
+    shift_histogram,
     shift_intersection,
     sumset,
     value_set,
@@ -157,7 +158,44 @@ def test_shift_intersection_cache_matches_brute():
             for mu in shifts:
                 brute = sum(1 for g in G.elements if (g - mu) % p in G.member_set)
                 assert shift_intersection(G, mu) == brute, (p, G.order, mu)
-            assert len(G.shift_counts) == (p - 1) // G.order  # one entry per coset
+            counts = shift_histogram(G)  # the x - y key histogram
+            assert sum(counts.values()) == G.order - 1
+            assert len(counts) <= (p - 1) // G.order
+
+
+def _odd_primes_below(n):
+    return [p for p in range(3, n) if all(p % q for q in range(2, int(p**0.5) + 1))]
+
+
+def test_shift_intersection_matches_brute_per_coset():
+    # one brute-force count per coset mu*G, then every mu of that coset
+    # (G ∩ (G + mu*h) = h * (G ∩ (G + mu)) for h in G) against it
+    for p in _odd_primes_below(400):
+        for G in enumerate_subgroups(make_prime(p)):
+            want: dict[int, int] = {}
+            for mu in range(1, p):
+                if mu not in want:
+                    brute = sum(1 for g in G.elements if (g - mu) % p in G.member_set)
+                    want.update((mu * h % p, brute) for h in G.elements)
+            got = {mu: shift_intersection(G, mu) for mu in range(1, p)}
+            assert got == want, (p, G.order)
+            keys = setops._homogeneous_keys(parse_bipoly("x - y", p), G, 1)
+            assert keys == (1, 1, shift_histogram(G))
+
+
+def test_shift_intersection_at_a_prime_past_2_32():
+    p = 2**32 + 15
+    prime = make_prime(p)
+    rng = random.Random(11)
+    for d in (2, 5, 90, 1179, 11790):
+        G = subgroup_of_order(prime, d)
+        shifts = [rng.randrange(1, p) for _ in range(5)]
+        shifts += [(rng.choice(G.elements) - rng.choice(G.elements)) % p or 1 for _ in range(5)]
+        for mu in shifts:
+            got = shift_intersection(G, mu)
+            assert type(got) is int
+            assert got == sum(1 for g in G.elements if (g - mu) % p in G.member_set), (d, mu)
+        assert sum(shift_histogram(G).values()) == d - 1
 
 
 # --- fiber_set -----------------------------------------------------------------

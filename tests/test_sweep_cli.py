@@ -4,6 +4,7 @@ import glob
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from sumprod.bounds import Verdict
 from sumprod.cli import main
 from sumprod.errors import BudgetExceeded, ConfigError, WorkbenchError
 from sumprod.field import divisors, make_prime
+from sumprod.setops import shift_intersection
 from sumprod.subgroup import coset_of, in_admitted_window, subgroup_of_order
 from sumprod.sweep import (
     CSV_COLUMNS,
@@ -865,7 +867,7 @@ def test_gv_template_splice_matches_the_full_record(fmt, outcome):
 def test_gv_units_share_synthetic_verdicts_by_lhs(monkeypatch, fmt):
     # every field shape at once: each lhs value gets one synthetic verdict
     def synthetic(G, mu):
-        lhs = sweep.shift_intersection(G, mu)
+        lhs = shift_intersection(G, mu)
         v = SYNTHETIC_OUTCOMES[lhs % 5]
         return dataclasses.replace(v, lhs=lhs, borderline=v.borderline or lhs == 1)
 
@@ -874,10 +876,43 @@ def test_gv_units_share_synthetic_verdicts_by_lhs(monkeypatch, fmt):
     records = [run_instance(inst) for inst in generate_instances(cfg)]
     assert {r["holds"] for r in records} == {True, False, None}
     assert any(r["borderline"] for r in records)
-    text, bad = sweep._render_block(fmt, sweep._units(cfg))
+    pieces = [sweep._splice(*entry) for entry in sweep._gv_block(fmt, sweep._units(cfg))]
+    text, bad = "".join(t for t, _ in pieces), sum(b for _, b in pieces)
     assert text == render_report(records, fmt, header=False)
     assert bad == count_violations(records) > 0
     assert sweep._run_block(sweep._units(cfg)) == records
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_gv_block_payload_is_a_tenth_of_its_text(fmt):
+    # what a worker pickles back: lines plus one index per mu, not the text
+    for cfg in (gv_config(primes=[389, 397], seed=3),
+                gv_config(primes=[997, 1009], params={"mu_sample": 400}, seed=3)):
+        units = sweep._units(cfg)
+        for block in sweep._blocks(units, sum(map(sweep._size, units)) // 16):
+            payload = sweep._gv_block(fmt, block)
+            text = "".join(sweep._splice(*entry)[0] for entry in payload)
+            assert text == render_report(sweep._run_block(block), fmt, header=False)
+            assert len(pickle.dumps(payload)) < len(text.encode()) / 10
+
+
+def test_sampled_gv_unit_split_across_blocks_keeps_bytes(tmp_path):
+    cfg = gv_config(primes=[397, 401], params={"mu_sample": 150}, seed=4)
+    units = sweep._units(cfg)
+    records = sum(map(sweep._size, units))
+    for size in (records // 8, records // 16):  # the blocks of --jobs 1 and 2
+        starts = {(u["p"], u["order"]): u["mus"][0] for u in units}
+        blocks = sweep._blocks(units, size)
+        assert any(b[0]["mus"][0] != starts[b[0]["p"], b[0]["order"]] for b in blocks)
+        assert all(isinstance(u["mus"], list) for b in blocks for u in b)
+    for fmt in ("jsonl", "csv"):
+        reports = []
+        for jobs in (1, 2):
+            out = tmp_path / f"out{jobs}.{fmt}"
+            assert write_sweep(cfg, fmt, str(out), jobs=jobs) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert reports[0].decode("utf-8") == _per_record_report(cfg, fmt)
 
 
 def test_gv_sweep_builds_no_per_record_instances(tmp_path, monkeypatch):
