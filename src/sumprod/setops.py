@@ -11,13 +11,14 @@ k-th powers agree; the counts follow from the k-th powers of the |G| values
 P(1, t) (see _homogeneous_keys), in plain Python ints.  shift_intersection
 is one such count: |G ∩ (G + mu)| is read from the key histogram of x - y
 (shift_histogram).  fiber_set walks the coset preimages of a family's
-linear members, also in Python ints.  Everything else is full enumeration: the grid
-kernels (image, sumset, counts of non-homogeneous P) and the F_p scan of a
-family with no linear member import numpy on first use and work in
-fixed-size chunks on one path for every prime; only the dtype depends on
-p: uint64 below 2^32, where every product plus a residue, (p-1)^2 + (p-1),
-fits, and object (Python ints) from 2^32 up.  Sets are deduplicated by
-sorting.  Budgets cap pairs (or scanned points), not answers.
+linear members, also in Python ints.  Everything else is full
+enumeration: the grid kernels (image, sumset, counts of non-homogeneous
+P) and the F_p scan of a family with no linear member import numpy on
+first use and work in fixed-size chunks on one path for every prime; only
+the dtype depends on p: uint64 below 2^32, where every product plus a
+residue, (p-1)^2 + (p-1), fits, and object (Python ints) from 2^32 up.
+Sets are deduplicated by sorting.  Budgets cap pairs (or scanned points),
+not answers.
 """
 
 from __future__ import annotations

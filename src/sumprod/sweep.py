@@ -506,17 +506,17 @@ def _gv_shared(unit: dict, make) -> tuple[list, array]:
 
     The verdict depends on mu only through lhs = |G ∩ (G + mu)|, the count
     of mu's coset key mu^|G| mod p in shift_histogram(G).  Each lhs value
-    is evaluated once, at the first mu that has it, and its record, whose
-    detail reads "mu=<mu>", goes through make once and is shared by every
-    other mu with that lhs.  The indices take one byte
-    each while there are at most 256 records, as there almost always are.
+    is evaluated once, at one mu that has it, and its record, whose detail
+    reads "mu=<mu>", goes through make once and is shared by every other mu
+    with that lhs.  The indices take one byte each while there are
+    at most 256 records, as there almost always are.
     """
     p, d, mus = unit["p"], unit["order"], unit["mus"]
     counts = shift_histogram(_subgroup(p, d))
     inst = {k: v for k, v in unit.items() if k != "mus"}
     shared = {**inst, "mu": _MU}
     keys = [pow(mu, d, p) for mu in mus]
-    first = dict(zip(reversed(keys), reversed(mus)))  # coset key -> its first mu
+    mu_of = dict(zip(keys, mus))  # coset key -> one mu with that key
     made: list = []
     by_lhs: dict[int, int] = {}
     line_of: dict[int, int] = {}  # coset key -> index into made
@@ -525,7 +525,7 @@ def _gv_shared(unit: dict, make) -> tuple[list, array]:
         i = by_lhs.get(lhs)
         if i is None:
             i = by_lhs[lhs] = len(made)
-            made.append(make(_fill(_base_record(shared), _outcome({**inst, "mu": first[key]}))))
+            made.append(make(_fill(_base_record(shared), _outcome({**inst, "mu": mu_of[key]}))))
         line_of[key] = i
     return made, array("B" if len(made) <= 256 else "L", map(line_of.__getitem__, keys))
 
@@ -696,10 +696,10 @@ def write_sweep(cfg: SweepConfig, fmt: str, path: str, jobs: int | None = None) 
     render_report(run_sweep(cfg), fmt) while the parent holds at most the
     text of the blocks not yet written.  A gv block comes back as
     _gv_block's lines and indices, and is spliced here one unit at a time,
-    at every job count.  The output is opened only after the
-    config's instances have been generated.  If a block raises, a file this
-    call created is removed again; an interrupted run keeps the blocks
-    already written, each complete.
+    at every job count.  The output is opened only after the config's
+    instances have been generated.  If a block raises, a file this call
+    created is removed again; an interrupted run keeps the blocks already
+    written, each complete.
     """
     head = render_report([], fmt)  # the CSV header; empty for jsonl
     gv = cfg.inequality == "gv"

@@ -896,6 +896,19 @@ def test_gv_block_payload_is_a_tenth_of_its_text(fmt):
             assert len(pickle.dumps(payload)) < len(text.encode()) / 10
 
 
+def test_gv_unit_with_more_than_256_lines(tmp_path, monkeypatch):
+    # |G| = 1 gives lhs = 0 at every mu; a histogram that counts each key as
+    # itself makes every mu its own line, past what one byte can index
+    monkeypatch.setattr(sweep, "shift_histogram", lambda G: {k: k for k in range(G.p)})
+    cfg = gv_config(primes=[1009], orders=[1])
+    made, picks = sweep._gv_shared(sweep._units(cfg)[0], lambda rec: rec)
+    assert picks.typecode == "L" and list(picks) == list(range(1008)) and len(made) == 1008
+    for fmt in ("jsonl", "csv"):
+        out = tmp_path / f"out.{fmt}"
+        assert write_sweep(cfg, fmt, str(out), jobs=1) == 0
+        assert out.read_text(encoding="utf-8") == _per_record_report(cfg, fmt)
+
+
 def test_sampled_gv_unit_split_across_blocks_keeps_bytes(tmp_path):
     cfg = gv_config(primes=[397, 401], params={"mu_sample": 150}, seed=4)
     units = sweep._units(cfg)
