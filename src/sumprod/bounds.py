@@ -206,16 +206,16 @@ def verify_fiber_bound(
     decided exactly: raising both sides to the power 2n+1 turns it into
     |G|^{2n+1} * (n+1)^{2n} * (prod m)^2 < p^{2n}.  A constant f_i has no
     degree-vector entry: the verdict then reports the permissibility
-    failure with rhs 0 rather than inventing constants.  Every Coset is a
-    coset of the subgroup of its own size (see Coset), and F_p* has one
-    subgroup per order, so each coset is checked by its prime and size.
+    failure with rhs 0 rather than inventing constants.  Every Coset carries
+    its subgroup, and F_p* has one subgroup per order, so each coset is
+    checked by its subgroup's prime and order.
     max_pairs caps the F_p scan of fiber_set.
     """
     n = len(fs)
     if n < 2 or n != len(cosets):
         raise LengthMismatch(f"need n >= 2 with {n} polynomials and {len(cosets)} cosets")
     for c in cosets:
-        if c.prime.p != G.p or len(c.members) != G.order:
+        if c.subgroup.p != G.p or c.subgroup.order != G.order:
             raise ValueError(f"coset of {c.representative} is not a coset of the given subgroup")
     perm = is_permissible(fs)
     degs = [f.degree for f in fs]

@@ -264,10 +264,6 @@ class ExtField:
             acc = acc * self.p + c % self.p
         return acc
 
-    def embed(self, c: int) -> int:
-        """Code of the base-field constant c."""
-        return c % self.p
-
     # -- table construction --------------------------------------------
 
     def _build_power_tables(self):
@@ -309,9 +305,6 @@ class ExtField:
 
     def sub(self, a: int, b: int) -> int:
         return self._digitwise(a, b, -1)
-
-    def neg(self, a: int) -> int:
-        return self._digitwise(0, a, -1)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

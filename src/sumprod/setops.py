@@ -268,19 +268,21 @@ def _walk_fiber(fs: Sequence[UniPoly], cosets: Sequence[Coset], p: int) -> list[
     """The fiber, ascending, from the coset preimages of the linear members
     (the family must have one).
 
-    A linear f = a*x + b maps onto a coset C from exactly the preimage
-    {(c - b) * a^-1 : c in C}.  The fiber is the intersection of those
+    A linear f = a*x + b maps onto the coset r*G from exactly the preimage
+    {(r*g - b) * a^-1 : g in G}.  The fiber is the intersection of those
     preimages, kept where every other f_j(x) lies in the j-th coset.
     """
     linear = [i for i, f in enumerate(fs) if f.degree == 1]
     preimages = []
     for i in linear:
-        b, inv = fs[i].coeffs.get(0, 0), pow(fs[i].coeffs[1], -1, p)
-        preimages.append({(c - b) * inv % p for c in cosets[i].members})
+        inv = pow(fs[i].coeffs[1], -1, p)
+        s = cosets[i].representative * inv % p  # (r*g - b) * a^-1 = s*g - t
+        t = fs[i].coeffs.get(0, 0) * inv % p
+        preimages.append({(s * g - t) % p for g in cosets[i].subgroup.elements})
     fiber = set.intersection(*preimages)
-    rest = [(fs[j], cosets[j].member_set) for j in range(len(fs)) if j not in linear]
+    rest = [(fs[j], cosets[j]) for j in range(len(fs)) if j not in linear]
     if rest:
-        fiber = {x for x in fiber if all(f(x) in s for f, s in rest)}
+        fiber = {x for x in fiber if all(f(x) in c for f, c in rest)}
     return sorted(fiber)
 
 
@@ -320,11 +322,11 @@ def fiber_set(
     """
     if len(fs) == 0 or len(fs) != len(cosets):
         raise LengthMismatch(f"{len(fs)} polynomials vs {len(cosets)} cosets")
-    primes = {f.p for f in fs} | {c.prime.p for c in cosets}
+    primes = {f.p for f in fs} | {c.subgroup.p for c in cosets}
     if len(primes) != 1:
         raise ValueError(f"mixed primes {sorted(primes)}")
     p = primes.pop()
-    prime = cosets[0].prime
+    prime = cosets[0].subgroup.prime
     if any(f.degree == 1 for f in fs):
         return _trusted_value_set(prime, _walk_fiber(fs, cosets, p))
     if p > max_pairs:
@@ -375,7 +377,7 @@ def count_level_pairs(
             raise ZeroLevel("level values must be nonzero")
         key = pow(a, G.order, p)
         if key in by_key:
-            rep = min(a * g % p for g in G.elements)
+            rep = Coset(G, a).representative
             raise CosetCollision(f"levels {by_key[key]} and {a} share the coset of {rep}")
         by_key[key] = a
     n_pairs = G.order * G.order

@@ -2,15 +2,17 @@
 
 F_p* is cyclic, so there is exactly one subgroup per divisor of p - 1; each
 is generated by g^((p-1)/d) for the canonical (smallest) primitive root g.
+G is the kernel of x -> x^|G|, so the key v^|G| mod p, found in
+O(log |G|), says which coset v lies in: membership in a subgroup or a
+coset comes from the key, and element lists are built on first use.
 Cosets are named by their smallest member, which makes every partition and
-report deterministic.  Where only coset identity matters, v^|G| mod p is an
-O(log |G|) key: G is the kernel of x -> x^|G|, so v and w share a coset
-exactly when their keys agree.
+report deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import functools
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ZeroValue
@@ -19,30 +21,33 @@ from .field import Prime, _primitive_root_int, divisors
 
 @dataclass(frozen=True)
 class Subgroup:
-    """The order-d subgroup of F_p*, with an O(1) membership set."""
+    """The order-d subgroup of F_p*, given by a generator."""
 
     prime: Prime
     order: int
     generator: int
-    elements: tuple[int, ...]  # ascending
-    member_set: frozenset[int] = dc_field(repr=False, compare=False, default=frozenset())
-
-    def __post_init__(self):
-        if not self.member_set:
-            object.__setattr__(self, "member_set", frozenset(self.elements))
 
     @property
     def p(self) -> int:
         return self.prime.p
 
+    @functools.cached_property
+    def elements(self) -> tuple[int, ...]:
+        """Every member, ascending, from the powers of the generator."""
+        p, g = self.p, self.generator
+        elems = [1]
+        acc = g
+        while acc != 1:
+            elems.append(acc)
+            acc = acc * g % p
+        assert len(elems) == self.order
+        return tuple(sorted(elems))
+
     def __contains__(self, v: int) -> bool:
-        return v in self.member_set
+        return 0 < v < self.p and pow(v, self.order, self.p) == 1
 
     def __len__(self) -> int:
         return self.order
-
-    def __repr__(self) -> str:
-        return f"Subgroup(p={self.p}, order={self.order}, generator={self.generator})"
 
 
 def subgroup_of_order(prime: Prime, d: int) -> Subgroup:
@@ -50,14 +55,7 @@ def subgroup_of_order(prime: Prime, d: int) -> Subgroup:
     p = prime.p
     if d < 1 or (p - 1) % d != 0:
         raise ValueError(f"order {d} does not divide p - 1 = {p - 1}")
-    g = pow(_primitive_root_int(p), (p - 1) // d, p)
-    elems = [1]
-    acc = g
-    while acc != 1:
-        elems.append(acc)
-        acc = acc * g % p
-    assert len(elems) == d
-    return Subgroup(prime, d, g, tuple(sorted(elems)))
+    return Subgroup(prime, d, pow(_primitive_root_int(p), (p - 1) // d, p))
 
 
 def enumerate_subgroups(prime: Prime) -> list[Subgroup]:
@@ -83,58 +81,40 @@ def is_admitted(G: Subgroup, n: int) -> bool:
 
 @dataclass(frozen=True)
 class Coset:
-    """A multiplicative coset v * H, named by its smallest member, where H
-    is the subgroup of order len(members).
+    """The coset v * G for any nonzero v, named by its smallest member.
 
-    Construction checks that the members are one such coset: d = |members|
-    ascending nonzero residues, d | p - 1, and one common d-th power (H is
-    the kernel of x -> x^d, and each of its cosets has exactly d elements).
-    F_p* has one subgroup per order, so the prime and the length alone say
-    which subgroup a Coset belongs to.  coset_of builds through a trusted
-    path that skips the check.
+    Construction replaces v by that member, so two Cosets are equal exactly
+    when they are the same coset of the same subgroup.  The sorted members
+    are built on first use.
     """
 
-    prime: Prime
+    subgroup: Subgroup
     representative: int
-    members: tuple[int, ...]  # ascending
-    member_set: frozenset[int] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p, m = self.prime.p, self.members
-        d = len(m)
-        if not (
-            d
-            and (p - 1) % d == 0
-            and m[0] == self.representative
-            and 0 < m[0]
-            and m[-1] < p
-            and all(a < b for a, b in zip(m, m[1:]))
-            and len({pow(v, d, p) for v in m}) == 1
-        ):
-            rep = self.representative
-            raise ValueError(f"coset of {rep} is not a coset of a subgroup of F_{p}*")
-        object.__setattr__(self, "member_set", frozenset(m))
+        G = self.subgroup
+        p, v = G.p, self.representative % G.p
+        if v == 0:
+            raise ZeroValue("0 belongs to no multiplicative coset")
+        object.__setattr__(self, "representative", min(v * g % p for g in G.elements))
 
-    def __contains__(self, v: int) -> bool:
-        return v in self.member_set
+    @functools.cached_property
+    def members(self) -> tuple[int, ...]:
+        p, rep = self.subgroup.p, self.representative
+        return tuple(sorted(rep * g % p for g in self.subgroup.elements))
+
+    def __contains__(self, w: int) -> bool:
+        """By the key: w lies in the coset when w^|G| = representative^|G|."""
+        p, d = self.subgroup.p, self.subgroup.order
+        return 0 < w < p and pow(w, d, p) == pow(self.representative, d, p)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.subgroup.order
 
 
 def coset_of(v: int, G: Subgroup) -> Coset:
     """The coset containing v; rejects 0, which lies in no coset."""
-    p = G.p
-    v %= p
-    if v == 0:
-        raise ZeroValue("0 belongs to no multiplicative coset")
-    members = tuple(sorted(v * g % p for g in G.elements))
-    c = object.__new__(Coset)  # v * G is a coset by construction: skip the check
-    object.__setattr__(c, "prime", G.prime)
-    object.__setattr__(c, "representative", members[0])
-    object.__setattr__(c, "members", members)
-    object.__setattr__(c, "member_set", frozenset(members))
-    return c
+    return Coset(G, v)
 
 
 @dataclass(frozen=True)
@@ -154,7 +134,7 @@ def coset_partition(values: Iterable[int], G: Subgroup) -> CosetPartition:
 
     Zero cannot be placed (it is absorbed by every multiplication) and is
     reported via the flag instead of a row.  Values are grouped by the coset
-    key v^|G| mod p, and each row's smallest member is found once.
+    key v^|G| mod p, and each row is named by its Coset's representative.
     """
     p = G.p
     zero_seen = False
@@ -165,9 +145,5 @@ def coset_partition(values: Iterable[int], G: Subgroup) -> CosetPartition:
             zero_seen = True
             continue
         by_key.setdefault(pow(v, G.order, p), set()).add(v)
-    rows = []
-    for vs in by_key.values():
-        members = tuple(sorted(vs))
-        rows.append((min(members[0] * g % p for g in G.elements), members))
-    rows.sort()
+    rows = sorted((Coset(G, min(vs)).representative, tuple(sorted(vs))) for vs in by_key.values())
     return CosetPartition(tuple(rows), zero_seen)

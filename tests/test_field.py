@@ -90,7 +90,6 @@ def test_ext_field_nine():
 
 def test_ext_field_nine_axioms_exhaustive():
     F = ext_field(3, 2)
-    one = F.embed(1)
     for a in range(9):
         for b in range(9):
             assert F.add(a, b) == F.add(b, a)
@@ -99,7 +98,7 @@ def test_ext_field_nine_axioms_exhaustive():
                 assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
                 assert F.mul(a, F.mul(b, c)) == F.mul(F.mul(a, b), c)
     for a in range(1, 9):
-        assert F.mul(a, F.inv(a)) == one
+        assert F.mul(a, F.inv(a)) == 1
 
 
 def test_ext_field_prime_degree_one_is_plain_residues():
@@ -114,7 +113,7 @@ def test_ext_field_sub_and_neg_are_digitwise(p, d):
     F = ext_field(p, d)
     for a in range(0, F.q, max(1, F.q // 40)):
         da = F.coeffs_of(a)
-        assert F.coeffs_of(F.neg(a)) == tuple(-c % p for c in da)
+        assert F.coeffs_of(F.sub(0, a)) == tuple(-c % p for c in da)
         for b in range(F.q):
             db = F.coeffs_of(b)
             assert F.coeffs_of(F.sub(a, b)) == tuple((x - y) % p for x, y in zip(da, db))
@@ -130,7 +129,7 @@ def test_ext_field_125_sampled_axioms(data):
     assert F.mul(a, F.mul(b, c)) == F.mul(F.mul(a, b), c)
     assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
     if a != 0:
-        assert F.mul(a, F.inv(a)) == F.embed(1)
+        assert F.mul(a, F.inv(a)) == 1
 
 
 def test_ext_field_large_add_path():

@@ -309,7 +309,7 @@ def test_abs_irreducible_shift_quartic_at_p3():
 def _ref_linear_factor_exists(Q, F):
     """Plain nested-loop search for a divisor y - c or x - (b*y + g) over F."""
     n = Q.total_degree
-    coeffs = [((i, j), F.embed(c)) for (i, j), c in Q.coeffs.items()]
+    coeffs = [((i, j), c % F.p) for (i, j), c in Q.coeffs.items()]
 
     def power(a, e):
         acc = 1
@@ -436,7 +436,7 @@ def _roots_by_evaluation(coeffs, F):
     def value(x):
         acc = 0
         for k, a in enumerate(coeffs):
-            acc = F.add(acc, F.mul(F.embed(a), F.pow(x, k)))
+            acc = F.add(acc, F.mul(a % F.p, F.pow(x, k)))
         return acc
 
     return tuple(x for x in range(F.q) if value(x) == 0)

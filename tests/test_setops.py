@@ -153,10 +153,11 @@ def test_shift_intersection_cache_matches_brute():
             continue
         prime = make_prime(p)
         for G in enumerate_subgroups(prime):
+            members = set(G.elements)
             shifts = [m for mu in range(1, p) for m in (mu, mu + p, -mu)]
             rng.shuffle(shifts)
             for mu in shifts:
-                brute = sum(1 for g in G.elements if (g - mu) % p in G.member_set)
+                brute = sum(1 for g in G.elements if (g - mu) % p in members)
                 assert shift_intersection(G, mu) == brute, (p, G.order, mu)
             counts = shift_histogram(G)  # the x - y key histogram
             assert sum(counts.values()) == G.order - 1
@@ -172,10 +173,11 @@ def test_shift_intersection_matches_brute_per_coset():
     # (G ∩ (G + mu*h) = h * (G ∩ (G + mu)) for h in G) against it
     for p in _odd_primes_below(400):
         for G in enumerate_subgroups(make_prime(p)):
+            members = set(G.elements)
             want: dict[int, int] = {}
             for mu in range(1, p):
                 if mu not in want:
-                    brute = sum(1 for g in G.elements if (g - mu) % p in G.member_set)
+                    brute = sum(1 for g in G.elements if (g - mu) % p in members)
                     want.update((mu * h % p, brute) for h in G.elements)
             got = {mu: shift_intersection(G, mu) for mu in range(1, p)}
             assert got == want, (p, G.order)
@@ -189,12 +191,13 @@ def test_shift_intersection_at_a_prime_past_2_32():
     rng = random.Random(11)
     for d in (2, 5, 90, 1179, 11790):
         G = subgroup_of_order(prime, d)
+        members = set(G.elements)
         shifts = [rng.randrange(1, p) for _ in range(5)]
         shifts += [(rng.choice(G.elements) - rng.choice(G.elements)) % p or 1 for _ in range(5)]
         for mu in shifts:
             got = shift_intersection(G, mu)
             assert type(got) is int
-            assert got == sum(1 for g in G.elements if (g - mu) % p in G.member_set), (d, mu)
+            assert got == sum(1 for g in G.elements if (g - mu) % p in members), (d, mu)
         assert sum(shift_histogram(G).values()) == d - 1
 
 

@@ -3,11 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumprod.errors import ZeroValue
+from sumprod.bounds import verify_image_lower_bound
+from sumprod.errors import SizeBudget, ZeroValue
 from sumprod.field import divisors, make_prime
+from sumprod.poly import parse_bipoly
 from sumprod.subgroup import (
     Coset,
-    Subgroup,
     coset_of,
     coset_partition,
     enumerate_subgroups,
@@ -121,20 +122,61 @@ def test_coset_examples():
 
 
 def test_hand_built_cosets_are_checked():
-    assert Coset(P13, 2, (2, 5, 6)) == coset_of(2, subgroup_of_order(P13, 3))
-    assert Coset(P13, 1, tuple(range(1, 13))).member_set == frozenset(range(1, 13))
-    for rep, members in [
-        (2, (2, 3, 5)),  # three residues, but not one coset of the order-3 subgroup
-        (5, (2, 5, 6)),  # representative is not the smallest member
-        (2, (6, 5, 2)),  # not ascending
-        (2, (2, 5, 6, 6)),  # repeated member
-        (0, (0, 1, 3, 9)),  # zero lies in no coset
-        (2, (2, 5, 6, 15)),  # out of range
-        (1, (1, 3, 9, 12, 5)),  # 5 does not divide p - 1
-        (1, ()),
-    ]:
-        with pytest.raises(ValueError, match="is not a coset of"):
-            Coset(P13, rep, members)
+    G3 = subgroup_of_order(P13, 3)
+    assert Coset(G3, 2) == coset_of(2, G3)
+    built = Coset(G3, 6)  # any member names the coset; it keeps the smallest
+    assert built.representative == 2 and built.members == (2, 5, 6)
+    assert Coset(G3, 6 + 13) == Coset(G3, 6 - 13) == built
+    # 2, 3 and 5 are three residues but not one coset of the order-3 subgroup
+    assert {Coset(G3, v).representative for v in (2, 3, 5)} == {1, 2}
+    whole = Coset(subgroup_of_order(P13, 12), 7)
+    assert whole.representative == 1 and whole.members == tuple(range(1, 13))
+    assert all(v in whole for v in range(1, 13)) and len(whole) == 12
+
+
+def test_coset_rejects_zero():
+    G = subgroup_of_order(P13, 3)
+    for v in (0, 13, -13):
+        with pytest.raises(ZeroValue):
+            Coset(G, v)
+
+
+def test_key_membership_matches_element_lists():
+    # v in G and v in C come from keys; the element lists are the reference,
+    # including the out-of-range -2, -1, 0, p and p + 1
+    for p in range(3, 60):
+        try:
+            prime = make_prime(p)
+        except Exception:
+            continue
+        for G in enumerate_subgroups(prime):
+            elements = set(G.elements)
+            assert [v for v in range(-2, p + 2) if v in G] == sorted(elements)
+            for C in {Coset(G, v) for v in range(1, p)}:
+                members = set(C.members)
+                assert len(members) == len(C) == G.order
+                assert [v for v in range(-2, p + 2) if v in C] == sorted(members), (p, G, C)
+
+
+def test_coset_is_the_same_from_every_member():
+    for p in (13, 31, 61):
+        for G in enumerate_subgroups(make_prime(p)):
+            for v in range(1, p):
+                C = Coset(G, v)
+                assert C.representative == min(C.members)
+                twins = [Coset(G, w) for w in C.members]
+                assert all(t == C and t.representative == C.representative for t in twins)
+                assert len(set(twins)) == 1
+
+
+def test_budget_records_never_build_elements():
+    # |G|^2 is over the pair budget, so the verdict stops before any element
+    prime = make_prime(811_501)
+    G = subgroup_of_order(prime, prime.p - 1)
+    with pytest.raises(SizeBudget):
+        verify_image_lower_bound(parse_bipoly("x+y", prime), G)
+    assert "elements" not in vars(G)
+    assert 2 in G and prime.p not in G
 
 
 def test_partition_examples():

@@ -31,6 +31,7 @@ from sumprod.sweep import (
 )
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "configs")
+SCRIPT_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 
 
 def gv_config(**over):
@@ -979,3 +980,49 @@ def test_module_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert "4" in proc.stdout
+
+
+def _cap_child_memory():
+    """preexec_fn: cap the child's address space, so a runaway build fails fast."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_subgroups_cli_past_2_32_lists_every_order_quickly():
+    # element lists are built only for the orders that print them (<= 64)
+    p = 2**32 + 15
+    proc = subprocess.run(
+        [sys.executable, "-m", "sumprod", "subgroups", "--p", str(p), "--format", "json"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_cap_child_memory,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)["subgroups"]
+    assert [row["order"] for row in rows] == list(divisors(p - 1))
+    for row in rows:
+        assert ("elements" in row) == (row["order"] <= 64), row["order"]
+        if "elements" in row:
+            assert len(row["elements"]) == row["order"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep_gv.py", "--lo", "5", "--hi", "13"],
+        ["sweep_image_ratio.py", "--lo", "101", "--hi", "103", "--out", "OUT"],
+        ["irreducibility_census.py", "--primes", "3", "--degrees", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_scripts_run_at_their_smallest_range(argv, tmp_path):
+    args = [str(tmp_path / "out.csv") if a == "OUT" else a for a in argv[1:]]
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPT_DIR, argv[0]), *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
