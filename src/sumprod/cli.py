@@ -19,7 +19,7 @@ from .field import EXT_ELEMENT_BUDGET, make_prime
 from .poly import is_good, is_required, parse_bipoly
 from .setops import DEFAULT_MAX_PAIRS, image, value_set
 from .subgroup import enumerate_subgroups, subgroup_of_order
-from .sweep import SweepConfig, _subgroup, evaluate, write_sweep
+from .sweep import SweepConfig, _read_json, _subgroup, evaluate, write_sweep
 
 # the flags each verify kind needs, in the order a missing one is named
 _NEEDS = {"gv": ["mu"], "t2": ["poly"], "vm": ["poly", "alphas"], "thmap": ["fs", "cosets"]}
@@ -252,9 +252,10 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = SweepConfig.from_file(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    data = _read_json(args.config)
+    if args.seed is not None and isinstance(data, dict):
+        data = {**data, "seed": args.seed}  # validated with the rest of the config
+    cfg = SweepConfig.from_json(data)
     bad = write_sweep(cfg, args.format, args.out, jobs=args.jobs)
     if bad:
         print(f"{bad} premise-met violation(s) found", file=sys.stderr)

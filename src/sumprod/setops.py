@@ -12,13 +12,13 @@ P(1, t) (see _homogeneous_keys), in plain Python ints.  shift_intersection
 is one such count: |G ∩ (G + mu)| is read from the key histogram of x - y
 (shift_histogram).  fiber_set walks the coset preimages of a family's
 linear members, also in Python ints.  Everything else is full
-enumeration: the grid kernels (image, sumset, counts of non-homogeneous
-P) and the F_p scan of a family with no linear member import numpy on
-first use and work in fixed-size chunks on one path for every prime; only
-the dtype depends on p: uint64 below 2^32, where every product plus a
-residue, (p-1)^2 + (p-1), fits, and object (Python ints) from 2^32 up.
-Sets are deduplicated by sorting.  Budgets cap pairs (or scanned points),
-not answers.
+enumeration: the grid kernels (image, and sumset through it, counts of
+non-homogeneous P) and the F_p scan of a family with no linear member
+import numpy on first use and work in fixed-size chunks on one path for
+every prime; only the dtype depends on p: uint64 below 2^32, where every
+product plus a residue, (p-1)^2 + (p-1), fits, and object (Python ints)
+from 2^32 up.  Sets are deduplicated by sorting.  Budgets cap pairs (or
+scanned points), not answers.
 """
 
 from __future__ import annotations
@@ -227,15 +227,11 @@ def image_size(P: BiPoly, G: Subgroup, *, max_pairs: int = DEFAULT_MAX_PAIRS) ->
 
 
 def sumset(A: ValueSet, B: ValueSet, sign: int = 1) -> ValueSet:
-    """A + B or A - B mod p, elementwise over all pairs."""
+    """A + B or A - B mod p: the image of x + sign*y, under the default pair
+    budget."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    prime = _same_prime(A, B)
-    p = prime.p
-    # a - b is a + (p - b): no negative operand, which uint64 cannot hold
-    bvals = B.members if sign == 1 else [(p - v) % p for v in B.members]
-    grids = ((ablock[:, None] + b[None, :]) % p for ablock, b in _grid_blocks(A.members, bvals, p))
-    return _trusted_value_set(prime, _distinct(grids).tolist())
+    return image(BiPoly(A.prime.p, {(1, 0): 1, (0, 1): sign}), A, B)
 
 
 @functools.lru_cache(maxsize=32)

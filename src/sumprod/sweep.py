@@ -3,11 +3,12 @@ in parallel), and emit byte-stable JSONL/CSV reports.  `evaluate` runs one
 instance of any kind; `run_instance` turns its result into a record.
 
 A gv work unit is one subgroup (p, |G|) with a segment of its shifts mu;
-every other unit is one instance.  A gv record depends on mu only through
-lhs = |G ∩ (G + mu)|, which a gv unit reads for each mu from one key
-histogram per subgroup (`shift_histogram`) with one pow and one lookup.  It
-evaluates each lhs value once and renders its record once, as a template
-line split where mu goes, and keeps per mu only the index of its line.
+every other unit is one instance.  One function, `_shared`, turns any unit
+into its distinct records (or their report lines) and one small index per
+record.  A gv record depends on mu only through lhs = |G ∩ (G + mu)|, which
+a gv unit reads for each mu from one key histogram per subgroup
+(`shift_histogram`) with one pow and one lookup; each lhs value is
+evaluated and rendered once, with a placeholder where mu goes.
 `generate_instances` expands the same units into one instance per record.
 
 Determinism contract: a config plus its seed pins the full unit list and
@@ -16,15 +17,14 @@ count.  Randomness is drawn from a fresh generator seeded per instance
 (never from a shared stream), and the units are sorted into report order,
 by (p, order, poly) with ties in generation order, before fan-out.  The
 sorted units are cut into contiguous blocks of equally many records,
-splitting a subgroup's shifts where a block ends; each block runs (and, for
-`write_sweep`, renders) in one worker, and the parent consumes the blocks
-in order, so a report streams out block by block and the parent never holds
-every record.  A gv worker sends back, per unit, its template lines and one
-small index per mu, not the report text, and the parent splices each mu
-into its line as it writes: the payload is a few percent of the text, and
-unlike per-worker block files it leaves no temporary files to name or to
-remove when a sweep fails.  Wall-clock time is deliberately absent from
-the serialized records.
+splitting a subgroup's shifts where a block ends; each block runs in one
+worker, and the parent consumes the blocks in order, so a report streams
+out block by block and the parent never holds every record.  A worker
+sends back only the templates and indices; the parent, which built the
+block and so holds the shifts, splices them in as it writes.  The payload
+is a few percent of the text, and unlike per-worker block files it leaves
+no temporary files to remove when a sweep fails.  Wall-clock time is
+deliberately absent from the serialized records.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import contextlib
 import csv
 import functools
 import io
-import itertools
 import json
 import os
 import random
@@ -95,7 +94,18 @@ _PARAMS = {
     "probe": {"set_size": "count", "trials": "count", "delta": "fraction", "epsilon": "fraction"},
 }
 
+# the keys a config and its "budgets" object may hold
+_KEYS = ("budgets", "inequality", "jobs", "orders", "params", "polys", "primes", "seed")
+_BUDGETS = ("ext_elements", "max_pairs")
+
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _known_keys(where: str, obj: dict, known: tuple[str, ...]) -> None:
+    """Reject the first key of obj outside known, so a misspelling fails."""
+    for name in obj:
+        if name not in known:
+            raise ConfigError(f"{where}{name}: unknown key (known: {', '.join(known)})")
 
 
 def _is_int(value) -> bool:
@@ -121,6 +131,7 @@ class SweepConfig:
     def from_json(data: dict) -> "SweepConfig":
         if not isinstance(data, dict):
             raise ConfigError("config: must be a JSON object")
+        _known_keys("", data, _KEYS)
         kind = data.get("inequality")
         if kind not in KINDS:
             raise ConfigError(f"inequality: must be one of {'|'.join(KINDS)}, got {kind!r}")
@@ -203,6 +214,7 @@ class SweepConfig:
         budgets = data.get("budgets", {})
         if not isinstance(budgets, dict):
             raise ConfigError("budgets: must be an object")
+        _known_keys("budgets.", budgets, _BUDGETS)
         max_pairs = budgets.get("max_pairs", DEFAULT_MAX_PAIRS)
         if not _is_int(max_pairs) or max_pairs < 1:
             raise ConfigError("budgets.max_pairs: need a positive integer")
@@ -228,12 +240,16 @@ class SweepConfig:
 
     @staticmethod
     def from_file(path: str) -> "SweepConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config: invalid JSON: {e}") from None
-        return SweepConfig.from_json(data)
+        return SweepConfig.from_json(_read_json(path))
+
+
+def _read_json(path: str):
+    """The JSON document in the file at path, not yet validated."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"config: invalid JSON: {e}") from None
 
 
 @functools.lru_cache(maxsize=None)
@@ -278,13 +294,6 @@ def _sample_distinct_coset_values(rng: random.Random, G: Subgroup, h: int) -> li
             seen_keys.add(key)
             out.append(v)
     return sorted(out)
-
-
-def _record_key(rec: dict) -> tuple:
-    # generation order is already deterministic and numerically natural, so
-    # the stable sort only needs the coarse key; ties keep their enumeration
-    # order (e.g. mu=2 stays ahead of mu=10)
-    return (rec["p"], rec["order"], rec["poly"])
 
 
 def _units(cfg: SweepConfig) -> list[dict]:
@@ -353,13 +362,24 @@ def _units(cfg: SweepConfig) -> list[dict]:
                             **base, "p": p, "order": d, "poly": poly,
                             "A": A, "B": B, "delta": delta, "epsilon": epsilon,
                         })
-    out.sort(key=_record_key)
+    # generation order is already deterministic and numerically natural, so
+    # the stable sort only needs the coarse key; ties keep their enumeration
+    # order (e.g. mu=2 stays ahead of mu=10)
+    out.sort(key=lambda unit: (unit["p"], unit["order"], unit["poly"]))
     return out
 
 
-def _size(unit: dict) -> int:
-    """How many records a unit makes."""
-    return len(unit["mus"]) if "mus" in unit else 1
+# stands for mu in the detail of a shared gv record.  No field of any record
+# can hold it: poly text passes the parser, which accepts only x y 0-9 + - * ^
+# ( ) and whitespace; detail holds integers; premise reasons are fixed strings
+# or budget messages.  Neither JSON nor CSV escapes or quotes it.
+_MU = "<mu>"
+
+
+def _fills(unit: dict) -> Sequence:
+    """One entry per record of a unit, put where _MU stands: the shifts of a
+    gv unit, nothing for the one record of any other unit."""
+    return unit["mus"] if "mus" in unit else ("",)
 
 
 def _expand(unit: dict) -> list[dict]:
@@ -496,21 +516,18 @@ def run_instance(inst: dict) -> dict:
     return _fill(_base_record(inst), _outcome(inst))
 
 
-# stands for mu in the detail of a shared gv record; no other field of a gv
-# record can hold it, and neither JSON nor CSV escapes or quotes it
-_MU = "<mu>"
+def _shared(unit: dict, make) -> tuple[list, array]:
+    """The distinct make(record) of a unit, and per fill the index of its own.
 
-
-def _gv_shared(unit: dict, make) -> tuple[list, array]:
-    """The distinct make(record) of a gv unit, and per shift the index of its own.
-
-    The verdict depends on mu only through lhs = |G ∩ (G + mu)|, the count
-    of mu's coset key mu^|G| mod p in shift_histogram(G).  Each lhs value
-    is evaluated once, at one mu that has it, and its record, whose detail
-    reads "mu=<mu>", goes through make once and is shared by every other mu
-    with that lhs.  The indices take one byte each while there are
-    at most 256 records, as there almost always are.
+    A one-instance unit gives [make(run_instance(unit))] and the index 0.
+    In a gv unit, lhs = |G ∩ (G + mu)| is the count of mu's coset key
+    mu^|G| mod p in shift_histogram(G).  Each lhs value is evaluated once,
+    at one mu that has it, and its record, whose detail reads "mu=<mu>",
+    goes through make once.  The indices take one byte each while there
+    are at most 256 records, as there almost always are.
     """
+    if "mus" not in unit:
+        return [make(run_instance(unit))], array("B", [0])
     p, d, mus = unit["p"], unit["order"], unit["mus"]
     counts = shift_histogram(_subgroup(p, d))
     inst = {k: v for k, v in unit.items() if k != "mus"}
@@ -536,7 +553,7 @@ def _blocks(units: list[dict], size: int) -> list[list[dict]]:
     blocks: list[list[dict]] = []
     room = 0
     for unit in units:
-        n, done = _size(unit), 0
+        n, done = len(_fills(unit)), 0
         while done < n:
             if room == 0:
                 blocks.append([])
@@ -548,9 +565,15 @@ def _blocks(units: list[dict], size: int) -> list[list[dict]]:
     return blocks
 
 
+def _run_block(make, units: list[dict]) -> list[tuple[list, array]]:
+    """_shared(unit, make) for each unit of a block: all a worker sends back."""
+    return [_shared(unit, make) for unit in units]
+
+
 @contextlib.contextmanager
-def _block_results(fn, cfg: SweepConfig, jobs: int | None) -> Iterator[Iterator]:
-    """fn over contiguous blocks of the sorted work units, in block order.
+def _block_results(make, cfg: SweepConfig, jobs: int | None) -> Iterator[Iterator]:
+    """(block, _run_block(make, block)) for contiguous blocks of the sorted
+    work units, in block order, so no result carries a unit's shifts back.
 
     The units are generated on entry, so a config that cannot be enumerated
     fails before the caller opens any output.  Every block but the last
@@ -564,11 +587,12 @@ def _block_results(fn, cfg: SweepConfig, jobs: int | None) -> Iterator[Iterator]
         raise ConfigError(f"jobs: need a positive integer, got {jobs!r}")
     units = _units(cfg)
     workers = min(cfg.jobs if jobs is None else jobs, os.cpu_count() or 1)
-    size = max(1, sum(map(_size, units)) // (workers * 8))
+    size = max(1, sum(len(_fills(u)) for u in units) // (workers * 8))
     blocks = _blocks(units, size)
     workers = min(workers, len(blocks))
+    fn = functools.partial(_run_block, make)
     if workers <= 1:
-        yield map(fn, blocks)
+        yield zip(blocks, map(fn, blocks))
         return
     # imported here: a serial sweep never pays for the pool machinery
     from concurrent.futures import ProcessPoolExecutor
@@ -576,52 +600,24 @@ def _block_results(fn, cfg: SweepConfig, jobs: int | None) -> Iterator[Iterator]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         results = pool.map(fn, blocks)
         try:
-            yield results
+            yield zip(blocks, results)
         finally:
             results.close()
 
 
-def _run_block(units: list[dict]) -> list[dict]:
-    records = []
-    for unit in units:
-        if "mus" not in unit:
-            records.append(run_instance(unit))
-            continue
-        made, picks = _gv_shared(unit, lambda rec: rec)
-        for mu, i in zip(unit["mus"], picks):
-            rec = made[i]
-            records.append({**rec, "detail": f"mu={mu}", "extra": dict(rec["extra"])})
-    return records
-
-
 def _split_line(fmt: str, rec: dict) -> tuple[str, str, int]:
-    """A shared gv record's report line, split at _MU, and its violation count."""
-    head, tail = render_report([rec], fmt, header=False).split(_MU)
+    """A record's report line split at _MU (all head if it has none), and
+    its violation count."""
+    head, _, tail = render_report([rec], fmt, header=False).partition(_MU)
     return head, tail, count_violations([rec])
 
 
-def _render_block(fmt: str, units: list[dict]) -> tuple[str, int]:
-    """One block's report text (no CSV header) and its violation count."""
-    records = _run_block(units)
-    return render_report(records, fmt, header=False), count_violations(records)
-
-
-def _gv_block(fmt: str, units: list[dict]) -> list[tuple[Sequence[int], list, array]]:
-    """Per gv unit of a block: its shifts, its distinct report lines split
-    where mu goes (_split_line), and per shift the index of its line.
-
-    _splice turns each entry into the unit's report text.  A worker returns
-    these instead of the text, which pickles ten to fifty times larger.
-    """
-    split = functools.partial(_split_line, fmt)
-    return [(unit["mus"], *_gv_shared(unit, split)) for unit in units]
-
-
-def _splice(mus: Sequence[int], lines: list, picks: array) -> tuple[str, int]:
-    """A gv unit's report text and violation count from its _gv_block entry."""
+def _splice(unit: dict, lines: list, picks: array) -> tuple[str, int]:
+    """A unit's report text and violation count from its
+    _shared(unit, partial(_split_line, fmt))."""
     heads = [head for head, _, _ in lines]
     tails = [tail for _, tail, _ in lines]
-    text = "".join([f"{heads[i]}{mu}{tails[i]}" for mu, i in zip(mus, picks)])
+    text = "".join([f"{heads[i]}{fill}{tails[i]}" for fill, i in zip(_fills(unit), picks)])
     return text, sum(bad * picks.count(i) for i, (_, _, bad) in enumerate(lines) if bad)
 
 
@@ -632,8 +628,13 @@ def run_sweep(cfg: SweepConfig, jobs: int | None = None) -> list[dict]:
     sampled value happen before fan-out, so the records are identical for
     any value of jobs.
     """
-    with _block_results(_run_block, cfg, jobs) as blocks:
-        return [rec for block in blocks for rec in block]
+    with _block_results(dict, cfg, jobs) as blocks:
+        return [
+            {**rec, "detail": rec["detail"].replace(_MU, str(fill)), "extra": dict(rec["extra"])}
+            for units, shared in blocks
+            for unit, (made, picks) in zip(units, shared)
+            for fill, rec in zip(_fills(unit), map(made.__getitem__, picks))
+        ]
 
 
 def count_violations(records: Iterable[dict]) -> int:
@@ -691,27 +692,24 @@ def write_sweep(cfg: SweepConfig, fmt: str, path: str, jobs: int | None = None) 
     """Run the sweep and write its report block by block; returns the number
     of premise-met violations.
 
-    Each block runs and renders in its worker, and the blocks are written in
-    order after one header, so the bytes equal
-    render_report(run_sweep(cfg), fmt) while the parent holds at most the
-    text of the blocks not yet written.  A gv block comes back as
-    _gv_block's lines and indices, and is spliced here one unit at a time,
-    at every job count.  The output is opened only after the config's
-    instances have been generated.  If a block raises, a file this call
-    created is removed again; an interrupted run keeps the blocks already
-    written, each complete.
+    Each block runs in its worker and comes back as _shared's split lines
+    and indices; the blocks are spliced and written here in order after one
+    header, so the bytes equal render_report(run_sweep(cfg), fmt) while the
+    parent holds at most the lines of the blocks not yet written.  The
+    output is opened only after the config's instances have been generated.
+    If a block raises, a file this call created is removed again; an
+    interrupted run keeps the blocks already written, each complete.
     """
     head = render_report([], fmt)  # the CSV header; empty for jsonl
-    gv = cfg.inequality == "gv"
-    block_fn = functools.partial(_gv_block if gv else _render_block, fmt)
-    with _block_results(block_fn, cfg, jobs) as blocks:
+    with _block_results(functools.partial(_split_line, fmt), cfg, jobs) as blocks:
         created = path != "-" and not os.path.lexists(path)
         violations = 0
         try:
             with _open_report(path) as out:
                 out.write(head)
-                for block in blocks:
-                    for text, bad in itertools.starmap(_splice, block) if gv else [block]:
+                for units, shared in blocks:
+                    for unit, (lines, picks) in zip(units, shared):
+                        text, bad = _splice(unit, lines, picks)
                         out.write(text)
                         violations += bad
         except Exception:

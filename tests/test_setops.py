@@ -84,6 +84,20 @@ def test_sumset_examples():
         sumset(VG, VG, sign=2)
 
 
+def test_sumset_budget_comes_before_any_evaluation(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("evaluated past the budget")
+
+    monkeypatch.setattr(setops, "_eval_grid", no_grid)
+    prime = make_prime(20011)
+    A = value_set(prime, range(1, 10002))
+    B = value_set(prime, range(10002, 20003))
+    for sign in (1, -1):
+        with pytest.raises(SizeBudget) as exc:
+            sumset(A, B, sign=sign)
+        assert str(exc.value) == "|A|*|B| = 100020001 exceeds budget 100000000"
+
+
 @settings(max_examples=150)
 @given(data=st.data())
 def test_sumset_properties(data):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import glob
 import io
 import json
@@ -8,6 +9,7 @@ import pickle
 import subprocess
 import sys
 import time
+from array import array
 
 import pytest
 
@@ -114,6 +116,11 @@ def test_config_rejects_bad_params(kind, params, where):
         ({"primes": {"start": 3, "stop": "7"}}, "primes"),
         ({"primes": {"start": True, "stop": 7}}, "primes"),
         ({"primes": {"start": 3}}, "primes"),
+        ({"sed": 2}, "sed"),
+        ({"job": 2}, "job"),
+        ({"param": {"mu_sample": 3}}, "param"),
+        ({"budgets": {"max_pair": 1}}, "budgets.max_pair"),
+        ({"budgets": {"ext_element": 100}}, "budgets.ext_element"),
     ],
 )
 def test_config_rejects_non_integers(over, where):
@@ -122,6 +129,16 @@ def test_config_rejects_non_integers(over, where):
     with pytest.raises(ConfigError) as exc:
         SweepConfig.from_json(doc)
     assert str(exc.value).startswith(f"{where}:")
+
+
+def test_config_names_the_unknown_key_and_the_known_ones():
+    known = "budgets, inequality, jobs, orders, params, polys, primes, seed"
+    with pytest.raises(ConfigError) as exc:
+        SweepConfig.from_json({"inequality": "gv", "primes": [13], "sed": 2})
+    assert str(exc.value) == f"sed: unknown key (known: {known})"
+    with pytest.raises(ConfigError) as exc:
+        SweepConfig.from_json({"inequality": "gv", "primes": [13], "budgets": {"max_pair": 1}})
+    assert str(exc.value) == "budgets.max_pair: unknown key (known: ext_elements, max_pairs)"
 
 
 @pytest.mark.parametrize("jobs", [True, 2.0])
@@ -528,6 +545,17 @@ def test_cli_sweep_seed_override(tmp_path):
     assert all(json.loads(l)["seed"] == 6 for l in b.read_text().splitlines())
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_cli_seed_override_is_validated_like_the_config(tmp_path, capsys, seed):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"inequality": "gv", "primes": [13], "seed": 5}))
+    out_path = tmp_path / "out.jsonl"
+    rc = main(["sweep", "--config", str(cfg_path), "--seed", seed, "--out", str(out_path)])
+    assert rc == 1
+    assert "seed: need an integer in [0, 2^64)" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_cli_bad_config_exit_1(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"inequality": "gv", "primes": [4], "seed": 1}))
@@ -674,6 +702,13 @@ PARITY_CONFIGS = {
     "probe": {"inequality": "probe", "primes": [13], "orders": "all",
               "polys": ["x+y", "x^2+3*y^2"], "params": {"delta": 0.2, "epsilon": 0.3}},
 }
+
+
+@pytest.mark.parametrize("kind", sorted(PARITY_CONFIGS))
+def test_run_sweep_is_one_run_instance_per_instance(kind):
+    cfg = SweepConfig.from_json(PARITY_CONFIGS[kind])
+    records = run_sweep(cfg, jobs=2)
+    assert records == run_sweep(cfg, jobs=1) == [run_instance(i) for i in generate_instances(cfg)]
 
 
 def _cli_argv(inst: dict) -> list[str]:
@@ -877,24 +912,42 @@ def test_gv_units_share_synthetic_verdicts_by_lhs(monkeypatch, fmt):
     records = [run_instance(inst) for inst in generate_instances(cfg)]
     assert {r["holds"] for r in records} == {True, False, None}
     assert any(r["borderline"] for r in records)
-    pieces = [sweep._splice(*entry) for entry in sweep._gv_block(fmt, sweep._units(cfg))]
+    split = functools.partial(sweep._split_line, fmt)
+    pieces = [sweep._splice(unit, *sweep._shared(unit, split)) for unit in sweep._units(cfg)]
     text, bad = "".join(t for t, _ in pieces), sum(b for _, b in pieces)
     assert text == render_report(records, fmt, header=False)
     assert bad == count_violations(records) > 0
-    assert sweep._run_block(sweep._units(cfg)) == records
+    shared = run_sweep(cfg, jobs=1)
+    assert shared == records
+    # records that share a template still own their "extra"
+    assert len({id(r["extra"]) for r in shared}) == len(shared)
+
+
+def _block_records(block):
+    """A block's records, one run_instance per instance."""
+    return [run_instance(inst) for unit in block for inst in sweep._expand(unit)]
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 def test_gv_block_payload_is_a_tenth_of_its_text(fmt):
-    # what a worker pickles back: lines plus one index per mu, not the text
-    for cfg in (gv_config(primes=[389, 397], seed=3),
-                gv_config(primes=[997, 1009], params={"mu_sample": 400}, seed=3)):
+    # what a worker pickles back: per unit its lines and one index per mu,
+    # not the text and not the shifts, which the parent already holds.  At
+    # 100 samples per subgroup few shifts share a line, so that payload is
+    # 10.0% of the CSV text (12.7% when it also carried the shifts)
+    split = functools.partial(sweep._split_line, fmt)
+    for cfg, share in ((gv_config(primes=[389, 397], seed=3), 10),
+                       (gv_config(primes=[389, 397], params={"mu_sample": 100}, seed=3), 8),
+                       (gv_config(primes=[997, 1009], params={"mu_sample": 400}, seed=3), 10)):
         units = sweep._units(cfg)
-        for block in sweep._blocks(units, sum(map(sweep._size, units)) // 16):
-            payload = sweep._gv_block(fmt, block)
-            text = "".join(sweep._splice(*entry)[0] for entry in payload)
-            assert text == render_report(sweep._run_block(block), fmt, header=False)
-            assert len(pickle.dumps(payload)) < len(text.encode()) / 10
+        for block in sweep._blocks(units, sum(len(sweep._fills(u)) for u in units) // 16):
+            payload = sweep._run_block(split, block)
+            assert len(payload) == len(block)
+            for lines, picks in payload:
+                assert isinstance(picks, array)
+                assert all(type(line) is tuple and len(line) == 3 for line in lines)
+            text = "".join(sweep._splice(u, *shared)[0] for u, shared in zip(block, payload))
+            assert text == render_report(_block_records(block), fmt, header=False)
+            assert len(pickle.dumps(payload)) < len(text.encode()) / share
 
 
 def test_gv_unit_with_more_than_256_lines(tmp_path, monkeypatch):
@@ -902,7 +955,7 @@ def test_gv_unit_with_more_than_256_lines(tmp_path, monkeypatch):
     # itself makes every mu its own line, past what one byte can index
     monkeypatch.setattr(sweep, "shift_histogram", lambda G: {k: k for k in range(G.p)})
     cfg = gv_config(primes=[1009], orders=[1])
-    made, picks = sweep._gv_shared(sweep._units(cfg)[0], lambda rec: rec)
+    made, picks = sweep._shared(sweep._units(cfg)[0], dict)
     assert picks.typecode == "L" and list(picks) == list(range(1008)) and len(made) == 1008
     for fmt in ("jsonl", "csv"):
         out = tmp_path / f"out.{fmt}"
@@ -913,7 +966,7 @@ def test_gv_unit_with_more_than_256_lines(tmp_path, monkeypatch):
 def test_sampled_gv_unit_split_across_blocks_keeps_bytes(tmp_path):
     cfg = gv_config(primes=[397, 401], params={"mu_sample": 150}, seed=4)
     units = sweep._units(cfg)
-    records = sum(map(sweep._size, units))
+    records = sum(len(sweep._fills(u)) for u in units)
     for size in (records // 8, records // 16):  # the blocks of --jobs 1 and 2
         starts = {(u["p"], u["order"]): u["mus"][0] for u in units}
         blocks = sweep._blocks(units, size)
@@ -959,17 +1012,33 @@ GV_UNIT_CONFIGS = {
 def test_gv_units_match_per_record_reports(tmp_path, name, fmt, jobs):
     cfg = SweepConfig.from_json(GV_UNIT_CONFIGS[name])
     units = sweep._units(cfg)
-    records = sum(map(sweep._size, units))
+    records = sum(len(sweep._fills(u)) for u in units)
     assert records == len(generate_instances(cfg))
     if name == "straddling":
         # the --jobs 2 blocks split subgroups, some of them more than once
         blocks = sweep._blocks(units, records // 16)
-        assert [sum(map(sweep._size, b)) for b in blocks[:-1]] == [records // 16] * (len(blocks) - 1)
+        assert [sum(len(sweep._fills(u)) for u in b) for b in blocks[:-1]] == [records // 16] * (len(blocks) - 1)
         firsts = [(b[0]["p"], b[0]["order"], b[0]["mus"][0]) for b in blocks]
         assert sum(mu != 1 for _, _, mu in firsts) >= 5
     out = tmp_path / f"out.{fmt}"
     assert write_sweep(cfg, fmt, str(out), jobs=jobs) == 0
     assert out.read_text(encoding="utf-8") == _per_record_report(cfg, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("name", ["growth_probe", "gv_small", "thmap_window", "vm_sampled"])
+def test_sample_configs_sweep_to_their_per_record_reports(tmp_path, name, fmt):
+    path = os.path.join(CONFIG_DIR, f"{name}.json")
+    out = tmp_path / f"out.{fmt}"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sumprod", "sweep", "--config", path, "--jobs", "2",
+         "--format", fmt, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == _per_record_report(SweepConfig.from_file(path), fmt).encode()
 
 
 def test_module_entrypoint_subprocess():
