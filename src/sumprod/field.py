@@ -3,17 +3,14 @@
 Primes are certified at construction (deterministic Miller-Rabin, valid for
 the whole supported 64-bit range), so everything downstream may assume
 primality without re-checking.  Extension fields are table-driven: elements
-are integer codes 0..p^d-1 encoding coefficient vectors in base p, with
-exp/log tables for multiplication and digit-wise addition.  Every F_{p^d},
-d = 1 included, is reduced by its lexicographically smallest monic primitive
-polynomial f, so t = x mod f generates the multiplicative group and the exp
-table is the walk 1, t, t^2, ... built by multiplying by t; no other
-polynomial arithmetic is needed to construct a field.  Each field also
-carries numpy tables of the base-p digits of x^k and of the F_p-linear maps
-"multiply by x^k" at every code x (k <= 4), so the exhaustive factor search
-in `poly` evaluates all candidates of one field in a few array operations.
-numpy is imported when the first extension field is built; prime-field
-arithmetic, primality and factoring are plain Python ints.
+are integer codes 0..p^d-1 encoding coefficient vectors in base p.  Every
+F_{p^d}, d = 1 included, is reduced by its lexicographically smallest monic
+primitive polynomial f, so t = x mod f generates the multiplicative group
+and the exp table is the walk 1, t, t^2, ... built by multiplying by t.
+Multiplication runs on exp/log tables and addition on Zech logarithms, all
+of them Python lists, and each field records the smallest subfield holding
+every code, so the exhaustive factor search in `poly` can skip codes no
+root can take.  Everything here is plain Python ints; nothing loads numpy.
 """
 
 from __future__ import annotations
@@ -22,17 +19,12 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import TYPE_CHECKING
 
 from .errors import BudgetExceeded, CompositeInput, ZeroInverse
-
-if TYPE_CHECKING:
-    import numpy as np
 
 MAX_PRIME = 2**64 - 1
 EXT_ELEMENT_BUDGET = 1 << 17
 EXT_MAX_DEGREE = 6
-_TABLE_POWERS = 5  # x^0 .. x^4: enough for forms of total degree <= 4
 
 # Deterministic witness set: correct for every n < 3.3 * 10^24 (covers 64 bits).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -159,52 +151,58 @@ def _primitive_root_int(p: int) -> int:
     return next(g for g in range(2, p) if _is_primitive_root(g, p))
 
 
+def _is_primitive(f: tuple[int, ...], p: int) -> bool:
+    """t = x mod the monic f of degree d over F_p has order exactly p^d - 1;
+    powers of t are taken on coefficient lists, low degree first."""
+    d = len(f) - 1
+    one = [1] + [0] * (d - 1)
+
+    def times(a: list[int], b: list[int]) -> list[int]:
+        prod = [0] * (2 * d - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+        for k in range(2 * d - 2, d - 1, -1):  # t^k = -t^(k-d) (f_0 + ... + f_(d-1) t^(d-1))
+            top = prod.pop()
+            for j in range(d):
+                prod[k - d + j] -= top * f[j]
+        return [c % p for c in prod]
+
+    def power(e: int) -> list[int]:
+        acc, base = one, ([-f[0] % p] if d == 1 else [0, 1] + [0] * (d - 2))
+        for bit in bin(e)[2:]:
+            acc = times(acc, acc)
+            if bit == "1":
+                acc = times(acc, base)
+        return acc
+
+    return power(p**d - 1) == one and all(power(c) != one for c in _cofactors(p**d - 1))
+
+
 def _smallest_primitive(p: int, d: int) -> tuple[tuple[int, ...], list[int]]:
     """The lexicographically smallest monic primitive f of degree d over F_p,
     coefficients compared low degree first, and the exp table of t = x mod f.
 
-    Multiplying a code by t shifts its digits up one place and folds the top
-    digit c back in as -c * (f_0, ..., f_{d-1}), mod p.  Since f(0) != 0 this
-    permutes the nonzero codes, so the walk 1, t, t^2, ... returns to 1; f is
-    primitive iff that takes exactly q - 1 steps, and then the walk is the
-    exp table.  The norm of t, (-1)^d f(0), must generate F_p^*, so other
-    candidates are skipped without a walk.
+    Candidates whose norm (-1)^d f(0) does not generate F_p^* are skipped
+    outright, and the others are tested by powering t modulo f.  The exp
+    table is then the walk 1, t, t^2, ... on codes.  Multiplying a code by t
+    shifts its digits up one place and folds the top digit c back in as
+    -c * (f_0, ..., f_{d-1}), mod p; each new digit comes from one old digit
+    and c, so the successor of every code is a sum of per-digit terms, built
+    without carries.
     """
-    import numpy as np
-
-    q = p**d
-    place = p ** np.arange(d, dtype=np.int64)
-    digits = np.arange(q, dtype=np.int64)[:, None] // place % p  # [code, r]
-    top = digits[:, -1:]
-    shifted = np.roll(digits, 1, axis=1)
-    shifted[:, 0] = 0
-    for low in itertools.product(range(p), repeat=d):
-        if not _is_primitive_root((-1) ** d * low[0], p):
-            continue
-        succ = ((shifted - top * np.array(low)) % p @ place).tolist()
-        exp = [1]
-        code = succ[1]
-        while code != 1:
-            exp.append(code)
-            code = succ[code]
-        if len(exp) == q - 1:
-            return low + (1,), exp
-    raise AssertionError("unreachable: primitive polynomials of every degree exist")
-
-
-def _digit_planes(codes: np.ndarray, p: int, d: int) -> np.ndarray:
-    """out[:, r] = base-p digit r of codes, for a code array of shape (n, ...).
-
-    Digits are peeled off codes in place, so codes is overwritten, and the
-    only memory beyond the result is codes itself.
-    """
-    import numpy as np
-
-    out = np.empty((codes.shape[0], d) + codes.shape[1:], dtype=codes.dtype)
-    for r in range(d):
-        np.remainder(codes, p, out=out[:, r])
-        np.floor_divide(codes, p, out=codes)
-    return out
+    f = next(low + (1,) for low in itertools.product(range(p), repeat=d)
+             if _is_primitive_root((-1) ** d * low[0], p) and _is_primitive(low + (1,), p))
+    succ = []  # succ[c * p^(d-1) + rest] = t * code, rest's digit 0 fastest
+    for c in range(p):
+        codes = [-c * f[0] % p]
+        for r in range(1, d):
+            codes = [a + (s - c * f[r]) % p * p**r for s in range(p) for a in codes]
+        succ += codes
+    exp = [1]
+    while succ[exp[-1]] != 1:
+        exp.append(succ[exp[-1]])
+    return f, exp
 
 
 class ExtField:
@@ -215,15 +213,15 @@ class ExtField:
     field is a deterministic function of (p, d) and t = x mod f generates
     its multiplicative group (the convention behind Conway polynomials).
     One construction serves every d: for d = 1 the modulus is x + c with -c
-    a primitive root, and codes are plain residues.  Multiplication runs on
-    exp/log tables, exp[k] = t^k; addition works on base-p digits.
+    a primitive root, and codes are plain residues.
 
-    Two numpy tables serve batched evaluation, for k <= 4:
-    `power_digits[k, :, x]` holds the d digits of x^k, and
-    `power_matrices[x, :, k, :]` is the d*d matrix over F_p of multiplication
-    by x^k on digit vectors (column e is x^k * t^e).  Entries lie in [0, p).
-    `budget` is the element budget the field was built under, so that caches
-    keyed by (p, d, budget) resolve it through `_ext_field_cached`.
+    Arithmetic runs on four Python lists of q entries: `exp[k]` = t^k, `log`
+    (log[0] = -1), the Zech logarithms `zech[k]` = log(1 + t^k) (-1 where
+    the sum is 0), so t^a + t^b = t^(a + zech[b - a]), filled in one pass as
+    adding 1 changes only digit 0, and `degree[x]`, the smallest e | d with
+    x^(p^e) = x.  `budget` is the element budget the field was built under,
+    so that caches keyed by (p, d, budget) resolve it through
+    `_ext_field_cached`.
     """
 
     def __init__(self, prime: Prime, d: int, budget: int = EXT_ELEMENT_BUDGET):
@@ -233,19 +231,23 @@ class ExtField:
         q = p**d
         if q > budget:
             raise BudgetExceeded(f"p^d = {q} exceeds the element budget {budget}")
-        import numpy as np
-
         self.prime = prime
         self.p = p
         self.d = d
         self.q = q
         self.budget = budget
-        self.modulus, self.exp = _smallest_primitive(p, d)
-        log = np.full(q, -1, dtype=np.int64)
-        log[self.exp] = np.arange(q - 1)
-        self.log = log.tolist()
-        self.gen = self.exp[1]
-        self._build_power_tables()
+        self.modulus, exp = _smallest_primitive(p, d)
+        self.exp = exp
+        self.log = log = [-1] * q
+        for k, x in enumerate(exp):
+            log[x] = k
+        self.zech = [log[x + 1] if x % p != p - 1 else log[x + 1 - p] for x in exp]
+        self.degree = degree = [d] * q
+        for e in reversed(divisors(d)[:-1]):  # a smaller subfield overwrites a larger one
+            for x in exp[:: (q - 1) // (p**e - 1)]:
+                degree[x] = e
+        degree[0] = 1
+        self.gen = exp[1]
 
     # -- element codecs ------------------------------------------------
 
@@ -264,47 +266,18 @@ class ExtField:
             acc = acc * self.p + c % self.p
         return acc
 
-    # -- table construction --------------------------------------------
-
-    def _build_power_tables(self):
-        import numpy as np
-
-        p, q, d = self.p, self.q, self.d
-        exp = np.array(self.exp, dtype=np.int64)
-        log = np.array(self.log, dtype=np.int64)
-
-        def times(a, b):  # elementwise product of code arrays
-            prod = exp[(log[a] + log[b]) % (q - 1)]
-            return np.where((a != 0) & (b != 0), prod, 0)
-
-        place = p ** np.arange(d, dtype=np.int64)  # code of t^e
-        powers = np.ones((_TABLE_POWERS, q), dtype=np.int64)
-        codes = np.arange(q, dtype=np.int64)
-        for k in range(1, _TABLE_POWERS):
-            powers[k] = times(powers[k - 1], codes)
-        images = times(powers.T[:, :, None], place)  # [x, k, e]: code of x^k * t^e
-        # the tables are filled last, as _digit_planes overwrites its input
-        self.power_digits = _digit_planes(powers, p, d)  # [k, r, x]
-        self.power_matrices = _digit_planes(images, p, d)  # [x, r, k, e]
-
     # -- arithmetic on codes --------------------------------------------
 
-    def _digitwise(self, a: int, b: int, sign: int) -> int:
-        """Code of a + sign * b, added digit by digit mod p."""
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.d):
-            a, ra = divmod(a, p)
-            b, rb = divmod(b, p)
-            out += (ra + sign * rb) % p * mult
-            mult *= p
-        return out
-
     def add(self, a: int, b: int) -> int:
-        return self._digitwise(a, b, 1)
+        if not (a and b):
+            return a or b
+        la = self.log[a]
+        z = self.zech[(self.log[b] - la) % (self.q - 1)]
+        return self.exp[(la + z) % (self.q - 1)] if z >= 0 else 0
 
     def sub(self, a: int, b: int) -> int:
-        return self._digitwise(a, b, -1)
+        # -1 = t^((q - 1) / 2), as p is odd
+        return self.add(a, self.exp[(self.log[b] + (self.q - 1) // 2) % (self.q - 1)]) if b else a
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

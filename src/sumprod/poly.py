@@ -18,12 +18,12 @@ h(x, y) - alpha stays irreducible over the algebraic closure:
   tests divisibility.  Linear candidates are first filtered by the root sets
   of one-variable slices of Q (its x-coefficient rows, Q(x, 0) and its top
   form at y = 1).  Each root set is found by evaluating the slice at every
-  code of the field (`ExtField.power_digits`), never by gcds or factoring:
-  the oracle calls none of `squarefree_decomposition`, `uni_gcd` or
-  `proper_power_form`.  The surviving candidates are settled by numpy
-  matmuls over `ExtField.power_matrices`, reduced mod p.  Quadratic
-  candidates (quartics only) are still tested one at a time on field codes,
-  whose addition always runs on base-p digits.  The two routes are
+  code of the field that could be a root, never by gcds or factoring: the
+  oracle calls none of `squarefree_decomposition`, `uni_gcd` or
+  `proper_power_form`.  The few surviving candidates are checked term by
+  term on field codes, and quadratic candidates (quartics only) one at a
+  time, by division.  Field arithmetic is table lookups on Python ints
+  (`ExtField`), so this module never loads numpy.  The two routes are
   cross-checked exhaustively in the test suite and must never be merged.
 """
 
@@ -61,7 +61,8 @@ NEG_INF = -inf
 
 
 class UniPoly:
-    """Sparse univariate polynomial over F_p."""
+    """Sparse univariate polynomial over F_p; `coeffs` holds its nonzero
+    coefficients keyed by degree, highest degree first."""
 
     __slots__ = ("p", "coeffs")
 
@@ -69,8 +70,8 @@ class UniPoly:
         self.p = int(p)
         clean: dict[int, int] = {}
         if coeffs:
-            for d, c in coeffs.items():
-                c %= self.p
+            for d in sorted(coeffs, reverse=True):
+                c = coeffs[d] % self.p
                 if c:
                     clean[d] = c
         self.coeffs = clean
@@ -180,11 +181,17 @@ class UniPoly:
         return UniPoly(self.p, {d - 1: d * c for d, c in self.coeffs.items() if d})
 
     def __call__(self, x: int) -> int:
+        """Horner's rule over the stored degrees; `pow` only bridges gaps > 1."""
         p = self.p
-        acc = 0
+        acc = prev = 0
         for d, c in self.coeffs.items():
-            acc = (acc + c * pow(x, d, p)) % p
-        return acc
+            if acc:  # every stored c is nonzero, so acc > 0 after the top term
+                gap = prev - d
+                acc = acc * (x if gap == 1 else pow(x, gap, p)) % p + c
+            else:
+                acc = c
+            prev = d
+        return acc * pow(x, prev, p) % p
 
     def dense(self) -> list[int]:
         """Coefficients low degree first; empty list for the zero polynomial."""
@@ -670,17 +677,34 @@ ROOT_CACHE_SIZE = 4096  # distinct slices; an entry is a few hundred bytes
 def _slice_roots(p: int, d: int, budget: int, coeffs: tuple[int, ...]) -> tuple[int, ...]:
     """Codes of F_{p^d} at which sum_k coeffs[k] x^k vanishes, ascending.
 
-    coeffs are residues mod p, low degree first, at most five of them.  The
-    slice is evaluated at every code of the field in one matmul over its
-    digit table.  The field is looked up by its cache key, so an entry keeps
-    no `ExtField` alive after the field cache evicts it.
+    coeffs are residues mod p, low degree first, the last one nonzero.
+    Horner's rule runs in the log domain: multiplying by x adds log x, and
+    adding a coefficient is one Zech lookup.  Only codes x with `degree[x]`
+    <= deg(slice) are evaluated, as a root's minimal polynomial divides the
+    slice.  The field is looked up by its cache key, so an entry keeps no
+    `ExtField` alive after the field cache evicts it.
     """
-    import numpy as np
-
     F = _ext_field_cached(p, d, budget)
-    m = len(coeffs)
-    vals = np.array(coeffs, dtype=np.int64) @ F.power_digits[:m].reshape(m, -1) % p
-    return tuple(np.flatnonzero(~vals.reshape(d, -1).any(axis=0)).tolist())
+    log, zech, degree, m = F.log, F.zech, F.degree, F.q - 1
+    n = len(coeffs) - 1
+    top, rest = log[coeffs[-1]], [log[c] for c in coeffs[-2::-1]]  # log 0 = -1
+    roots = [] if coeffs[0] else [0]
+    for x in range(1, F.q):
+        if degree[x] > n:
+            continue
+        lx = log[x]
+        acc = top  # log of the value so far, -1 for 0
+        for lc in rest:
+            if acc < 0:
+                acc = lc
+            else:
+                acc += lx
+                if lc >= 0:
+                    z = zech[(lc - acc) % m]
+                    acc = acc + z if z >= 0 else -1
+        if acc < 0:
+            roots.append(x)
+    return tuple(roots)
 
 
 def _roots(F: ExtField, coeffs: list[int]) -> tuple[int, ...]:
@@ -702,18 +726,15 @@ def _linear_factor_exists(Q: BiPoly, F: ExtField) -> bool:
       row sum_j c_ij y^j, so the common roots settle this family;
     * x - (b*y + g) divides Q iff Q(b*y + g, y) = 0.  Its y^0 coefficient
       is Q(g, 0) and its y^n coefficient is Q_n(b, 1), Q_n the top form of
-      Q, so g must be a root of Q(x, 0) and b a root of Q_n(x, 1).  For each
-      such g, Q(b*y + g, y) = sum_t y^t sum_k b^k A_tk(g) with
-      A_tk(g) = sum_i c_{i,t-k} binom(i, k) g^(i-k); one matmul over the
-      multiplication-by-b^k matrices evaluates it for every such b.  Each
-      matmul entry sums at most 5*d products of residues below p, so int64
-      stays exact for every field whose tables fit in memory.
+      Q, so g must be a root of Q(x, 0) and b a root of Q_n(x, 1).  Each
+      surviving pair (b, g) is checked term by term: c_ij binom(i, k)
+      b^k g^(i-k) goes into the y^(j+k) coefficient, multiplied in the log
+      domain and added through the Zech table, and the pair is a divisor
+      when every coefficient vanishes.
 
     Q(x, 0) is nonzero here: divisibility by y is handled by the caller.
     """
-    import numpy as np
-
-    p, d, n = F.p, F.d, Q.total_degree
+    p, n = F.p, Q.total_degree
     C = [[0] * (n + 1) for _ in range(n + 1)]  # C[i][j] = c_ij
     for (i, j), c in Q.coeffs.items():
         C[i][j] = c
@@ -726,24 +747,30 @@ def _linear_factor_exists(Q: BiPoly, F: ExtField) -> bool:
                 break
     if common:
         return True
-    gs = list(_roots(F, [row[0] for row in C]))
+    gs = _roots(F, [row[0] for row in C])
     if not gs:
         return False
-    bs = list(_roots(F, [C[i][n - i] for i in range(n + 1)]))
-    if not bs:
-        return False
+    bs = _roots(F, [C[i][n - i] for i in range(n + 1)])
 
-    B = np.zeros((n + 1, n + 1, n + 1), dtype=np.int64)  # B[t, k, i - k]: terms of A_tk
+    exp, log, add, m = F.exp, F.log, F.add, F.q - 1
+    terms = [[] for _ in range(n + 1)]  # terms[t]: (log scalar, k, i - k) of y^t
     for (i, j), c in Q.coeffs.items():
         for k in range(i + 1):
-            B[j + k, k, i - k] += c * comb(i, k)
-    pows = F.power_digits[: n + 1, :, gs]  # [m, r, g]: digits of g^m
-    A = B.reshape(-1, n + 1) % p @ pows.reshape(n + 1, -1) % p  # [(t, k), (e, g)]
-    A = A.reshape(n + 1, n + 1, d, -1).transpose(1, 2, 3, 0).reshape((n + 1) * d, -1)
-    # rows (b, r), columns (k, e)
-    W = F.power_matrices[bs].reshape(len(bs) * d, -1)[:, : (n + 1) * d]
-    vals = (W @ A % p).reshape(len(bs), d, len(gs), n + 1).transpose(0, 2, 1, 3)  # [b, g, r, t]
-    return not vals.reshape(len(bs) * len(gs), -1).any(axis=1).all()
+            scalar = c * comb(i, k) % p
+            if scalar:
+                terms[j + k].append((log[scalar], k, i - k))
+    for b, g in itertools.product(bs, gs):
+        lb, lg = log[b], log[g]
+        for row in terms:
+            acc = 0
+            for ls, k, r in row:
+                if (b or not k) and (g or not r):
+                    acc = add(acc, exp[(ls + k * lb + r * lg) % m])
+            if acc:
+                break
+        else:
+            return True
+    return False
 
 
 _GLEX_LEADS = (

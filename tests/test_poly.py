@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,6 +13,7 @@ from sumprod.errors import (
     ZeroPolynomial,
     ZeroShift,
 )
+from sumprod import poly
 from sumprod.field import ext_field, make_prime
 from sumprod.poly import (
     BiPoly,
@@ -119,6 +121,22 @@ def test_eval_examples():
     assert parse_bipoly("x^2+y^2", P13).eval(1, 1) == 2
     Q = parse_bipoly("x*y+7", P13)
     assert Q.eval(0, 0) == 7
+
+
+@pytest.mark.parametrize("p", [3, 13, 92921, 4294967311])
+def test_unipoly_call_matches_one_pow_per_term(p):
+    # Horner against the sum of c * x^d, on dense and sparse polynomials
+    rng = random.Random(f"unipoly-call|{p}")
+    polys = [UniPoly(p, {}), UniPoly(p, {0: 5}), UniPoly(p, {7: 1})]
+    for _ in range(40):
+        top = rng.randint(0, 12)
+        if rng.random() < 0.5:  # dense
+            polys.append(UniPoly(p, {d: rng.randrange(p) for d in range(top + 1)}))
+        else:  # a few terms with gaps
+            polys.append(UniPoly(p, {rng.randint(0, top): rng.randrange(-p, p) for _ in range(3)}))
+    for f in polys:
+        for x in (0, 1, p - 1, -1, -p - 2, rng.randrange(p), -rng.randrange(p)):
+            assert f(x) == sum(c * pow(x, d, p) for d, c in f.coeffs.items()) % p, (f, x)
 
 
 # --- homogeneity / required ------------------------------------------------
@@ -432,23 +450,88 @@ def test_factor_oracle_matches_scalar_reference_over_every_field(case):
         assert factor_oracle(Q, d_max) == found, d_max
 
 
+def _zero_root_forms(p, n, count, rng):
+    """Random Q over F_p of total degree n, divisible by neither x nor y, whose
+    candidate parts b or g include 0: Q(x, 0) or Q_n(x, 1) has the root 0.
+
+    Half are dense with c_00 = 0 or c_0n = 0 (b = 0 or g = 0 survives the
+    root filters but may be no divisor); half are (x - b*y - g) * R with b
+    or g equal to 0."""
+    x, y = BiPoly.variable("x", p), BiPoly.variable("y", p)
+    out = []
+    while len(out) < count:
+        if len(out) % 2:
+            b, g = rng.choice([(0, rng.randrange(p)), (rng.randrange(p), 0), (0, 0)])
+            R = BiPoly(p, {(i, t - i): rng.randrange(p) for t in range(n) for i in range(t + 1)})
+            Q = (x - y.scale(b) - BiPoly.const(p, g)) * R
+        else:
+            coeffs = {(i, t - i): rng.randrange(p) for t in range(n + 1) for i in range(t + 1)}
+            for key in rng.choice([[(0, 0)], [(0, n)], [(0, 0), (0, n)]]):
+                coeffs[key] = 0
+            Q = BiPoly(p, coeffs)
+        if (Q.total_degree == n and any(j == 0 for _, j in Q.coeffs)
+                and any(i == 0 for i, _ in Q.coeffs)):
+            out.append(Q)
+    return out
+
+
+_ZERO_ROOT_FORMS = [(p, Q) for p in (3, 5, 7) for n in (3, 4)
+                    for Q in _zero_root_forms(p, n, 8, random.Random(f"zero-roots|{p}|{n}"))]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_linear_factor_search_with_zero_parts_matches_reference(p):
+    for q, Q in _ZERO_ROOT_FORMS:
+        if q != p:
+            continue
+        for d in (1, 2, 3):
+            F = ext_field(p, d)
+            assert _linear_factor_exists(Q, F) == _ref_linear_factor_exists(Q, F), (Q, d)
+
+
+def test_factor_oracle_calls_none_of_the_criterion_helpers(monkeypatch):
+    # cubics over F_{p^d}, d <= 3, and quartics at p <= 5 with d_max 1,
+    # which keeps the quadratic search over F_p
+    calls = [(Q, 3 if Q.total_degree == 3 else 1) for p, Q in _ZERO_ROOT_FORMS
+             if Q.total_degree == 3 or p <= 5]
+    expected = [factor_oracle(Q, d_max) for Q, d_max in calls]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("factor_oracle must not use the multiplicity criterion")
+
+    for name in ("squarefree_decomposition", "uni_gcd", "proper_power_form"):
+        monkeypatch.setattr(poly, name, forbidden)
+    assert [factor_oracle(Q, d_max) for Q, d_max in calls] == expected
+
+
 def _roots_by_evaluation(coeffs, F):
-    def value(x):
-        acc = 0
-        for k, a in enumerate(coeffs):
-            acc = F.add(acc, F.mul(a % F.p, F.pow(x, k)))
-        return acc
+    """Codes where the slice vanishes: x^k by repeated F.mul, sums digit by digit."""
 
-    return tuple(x for x in range(F.q) if value(x) == 0)
+    def vanishes(x):
+        acc, xk = [0] * F.d, 1
+        for a in coeffs:
+            acc = [(u + v) % F.p for u, v in zip(acc, F.coeffs_of(F.mul(a % F.p, xk)))]
+            xk = F.mul(xk, x)
+        return not any(acc)
+
+    return tuple(x for x in range(F.q) if vanishes(x))
 
 
-@pytest.mark.parametrize("p, d", [(3, 2), (5, 2)])
+@pytest.mark.parametrize("p, d", [(3, 2), (5, 2), (3, 3), (3, 4), (5, 3), (101, 1)])
 def test_slice_roots_match_evaluation_at_every_code(p, d):
+    # slices of degree 1-4: every one at p = 3, a seeded sample otherwise.
+    # Below degree d only codes of the smaller subfields are evaluated
     F = ext_field(p, d)
-    for coeffs in itertools.product(range(p), repeat=3):
-        top = max((k for k, a in enumerate(coeffs) if a), default=None)
-        if top is None:
-            continue  # the zero polynomial is no slice
+    if p == 3:
+        slices = [c for c in itertools.product(range(p), repeat=5) if any(c)]
+    else:
+        rng = random.Random(f"slices|{p}|{d}")
+        slices = [tuple(rng.randrange(p) for _ in range(k)) + (rng.randrange(1, p),)
+                  for k in (rng.randint(1, 4) for _ in range(200))]
+    for coeffs in slices:
+        top = max(k for k, a in enumerate(coeffs) if a)
+        if top == 0:
+            continue  # a constant slice is no slice
         coeffs = coeffs[: top + 1]
         assert _slice_roots(p, d, F.budget, coeffs) == _roots_by_evaluation(coeffs, F), coeffs
 

@@ -320,6 +320,48 @@ def test_gv_homogeneous_and_thmap_sweeps_leave_numpy_out(tmp_path):
     assert json.loads(run.stdout) == [False] * 7 + [True]
 
 
+_ORACLE_NUMPY_PROBE = """
+import itertools, json, sys
+import sumprod.cli
+from sumprod.poly import BiPoly, abs_irreducible_shift, factor_oracle, is_good, parse_bipoly
+seen = []
+assert sumprod.cli.main(["check-good", "--p", "3", "--poly", "x^3+x*y^2+2*y^3"]) == 0
+seen.append("numpy" in sys.modules)
+assert factor_oracle(parse_bipoly("x^4+y^4-1", 3), 2) is False
+seen.append("numpy" in sys.modules)
+for p, degrees in ((5, (1, 2, 3)), (7, (1, 2))):
+    for n in degrees:
+        for vec in itertools.product(range(p), repeat=n + 1):
+            h = BiPoly(p, {(n - j, j): c for j, c in enumerate(vec)})
+            if h.is_zero():
+                continue
+            is_good(h)
+            abs_irreducible_shift(h, 1)
+            for alpha in range(1, p):
+                factor_oracle(h.shift_const(alpha), 3)
+seen.append("numpy" in sys.modules)
+assert sumprod.cli.main(["sweep", "--config", sys.argv[1], "--out", sys.argv[2], "--jobs", "1"]) == 0
+seen.append("numpy" in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def test_irreducibility_route_leaves_numpy_out(tmp_path):
+    """check-good on a cubic at p = 3 (routed to the factor search), the
+    Fermat quartic over F_9 and the degree 1-3 census over F_5 and F_7 with
+    d_max 3 never load numpy; a non-homogeneous t2 sweep, last, does, so the
+    probe is live."""
+    config = tmp_path / "t2.json"
+    config.write_text(json.dumps({
+        "inequality": "t2", "primes": [92921, 4294967311], "orders": [4, 101, 131],
+        "polys": ["x*y+x+y"], "seed": 1,
+    }))
+    run = subprocess.run(
+        [sys.executable, "-c", _ORACLE_NUMPY_PROBE, str(config), str(tmp_path / "report.jsonl")],
+        capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == [False, False, False, True]
+
+
 def test_thmap_sweep_above_2_31_runs_in_seconds(tmp_path):
     cfg_path = tmp_path / "thmap.json"
     cfg_path.write_text(json.dumps(THMAP_ABOVE_2_31))
