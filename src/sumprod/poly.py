@@ -92,7 +92,7 @@ class UniPoly:
     # basic queries
     @property
     def degree(self):
-        return max(self.coeffs) if self.coeffs else NEG_INF
+        return next(iter(self.coeffs)) if self.coeffs else NEG_INF
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -100,7 +100,7 @@ class UniPoly:
     def lead(self) -> int:
         if not self.coeffs:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[max(self.coeffs)]
+        return next(iter(self.coeffs.values()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.p == other.p and self.coeffs == other.coeffs
@@ -197,7 +197,7 @@ class UniPoly:
         """Coefficients low degree first; empty list for the zero polynomial."""
         if not self.coeffs:
             return []
-        out = [0] * (max(self.coeffs) + 1)
+        out = [0] * (next(iter(self.coeffs)) + 1)
         for d, c in self.coeffs.items():
             out[d] = c
         return out
@@ -206,8 +206,7 @@ class UniPoly:
         if not self.coeffs:
             return "0"
         parts = []
-        for d in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[d]
+        for d, c in self.coeffs.items():
             if d == 0:
                 parts.append(str(c))
             else:
