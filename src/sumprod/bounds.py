@@ -4,8 +4,9 @@ Each verifier returns a Verdict that keeps three things separate:
 
   * premise — whether the inequality's hypotheses hold for this instance
     (with the first failing clause named when they do not);
-  * holds — the exact-integer LHS against the double-precision RHS, only
-    assigned when the premise is met;
+  * holds — whether the LHS meets the bound, only assigned when the
+    premise is met: gv and vm decide it in integers (both sides cubed), t2
+    and thmap compare the integer LHS with the double-precision RHS;
   * ratio — LHS divided by the pure power of |G| in the bound, recorded
     unconditionally so sweeps can chart growth even off-premise.
 
@@ -113,15 +114,11 @@ class Verdict:
     ratio: float
 
 
-def _verdict(inequality: str, reason: str, lhs: int, rhs: float, direction: str, ratio: float) -> Verdict:
+def _verdict(inequality: str, reason: str, lhs: int, rhs: float, holds: bool, ratio: float) -> Verdict:
+    """holds is the caller's comparison of lhs with the bound; it is kept
+    only when the premise is met (reason "")."""
     borderline = abs(lhs - rhs) <= REL_TOL * abs(rhs)
-    if reason:
-        holds = None
-    elif direction == ">":
-        holds = lhs > rhs
-    else:
-        holds = lhs <= rhs
-    return Verdict(inequality, reason == "", reason, lhs, rhs, holds, borderline, ratio)
+    return Verdict(inequality, reason == "", reason, lhs, rhs, None if reason else holds, borderline, ratio)
 
 
 def _good_admitted_premise(P: BiPoly, G: Subgroup, n: int, ext_budget: int) -> str:
@@ -150,7 +147,8 @@ def verify_image_lower_bound(
     lhs = image_size(P, G, max_pairs=max_pairs)
     denom = G.order**1.5
     c = image_bound_constants(max(n, 1)).c
-    return _verdict("t2", reason, lhs, c * denom, ">", lhs / denom)
+    rhs = c * denom
+    return _verdict("t2", reason, lhs, rhs, lhs > rhs, lhs / denom)
 
 
 def verify_level_pair_bound(
@@ -165,7 +163,8 @@ def verify_level_pair_bound(
 
     h is the number of levels; the premise needs a good polynomial, an
     admitted subgroup, and h < c2(n) * |G|^2 (checked exactly as
-    h * 40^3 * n^9 < |G|^2).
+    h * 40^3 * n^9 < |G|^2).  holds is decided exactly, as
+    lhs^3 <= c1^3 * h^2 * |G|^2.
     """
     n = max(P.total_degree, 0)
     h = len(alphas)
@@ -175,21 +174,23 @@ def verify_level_pair_bound(
     lhs = count_level_pairs(P, G, alphas, max_pairs=max_pairs).total
     denom = G.order ** (2 / 3)
     c1 = image_bound_constants(max(n, 1)).c1
-    return _verdict("vm", reason, lhs, c1 * h ** (2 / 3) * denom, "<=", lhs / denom)
+    holds = lhs**3 <= c1**3 * h**2 * G.order**2
+    return _verdict("vm", reason, lhs, c1 * h ** (2 / 3) * denom, holds, lhs / denom)
 
 
 def verify_shift_overlap_bound(G: Subgroup, mu: int) -> Verdict:
     """|G ∩ (G + mu)| <= 4 |G|^{2/3} for small subgroups and mu != 0.
 
     The size premise |G| < (p-1)/((p-1)^{1/4}+1) is decided exactly: with
-    s = p - 1 - |G| it is equivalent to s > 0 and |G|^4 (p-1) < s^4.
+    s = p - 1 - |G| it is equivalent to s > 0 and |G|^4 (p-1) < s^4.  So is
+    holds, as lhs^3 <= 64 |G|^2.
     """
     d = G.order
     s = G.p - 1 - d
     reason = "" if s > 0 and d**4 * (G.p - 1) < s**4 else "size-window"
     lhs = shift_intersection(G, mu)
     denom = d ** (2 / 3)
-    return _verdict("gv", reason, lhs, 4 * denom, "<=", lhs / denom)
+    return _verdict("gv", reason, lhs, 4 * denom, lhs**3 <= 64 * d**2, lhs / denom)
 
 
 def verify_fiber_bound(
@@ -237,7 +238,7 @@ def verify_fiber_bound(
             ):
                 reason = "subgroup-too-large"
     lhs = len(fiber_set(fs, cosets, max_pairs=max_pairs))
-    return _verdict("thmap", reason, lhs, rhs, "<=", lhs / denom)
+    return _verdict("thmap", reason, lhs, rhs, lhs <= rhs, lhs / denom)
 
 
 # ---------------------------------------------------------------------------

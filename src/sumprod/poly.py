@@ -1,9 +1,12 @@
 """Polynomials over F_p: parsing, structure tests, and irreducibility.
 
-Univariate polynomials are sparse maps degree -> coefficient; bivariate ones
-are sparse maps (x-degree, y-degree) -> coefficient.  Zero coefficients are
-never stored, so the zero polynomial is the empty map and its degree is the
--inf sentinel.
+Univariate polynomials are sparse maps degree -> coefficient, highest
+degree first; bivariate ones are sparse maps (x-degree, y-degree) ->
+coefficient.  Zero coefficients are never stored, so the zero polynomial is
+the empty map and its degree is the -inf sentinel.  Univariate division,
+gcd and Yun's algorithm run on dense coefficient lists, lowest degree
+first, through four private list kernels (division, gcd, derivative,
+difference).
 
 Two independent routes decide whether a shifted homogeneous polynomial
 h(x, y) - alpha stays irreducible over the algebraic closure:
@@ -17,14 +20,17 @@ h(x, y) - alpha stays irreducible over the algebraic closure:
   normalized candidate divisor with coefficients in F_{p^d}, d <= d_max, and
   tests divisibility.  Linear candidates are first filtered by the root sets
   of one-variable slices of Q (its x-coefficient rows, Q(x, 0) and its top
-  form at y = 1).  Each root set is found by evaluating the slice at every
-  code of the field that could be a root, never by gcds or factoring: the
-  oracle calls none of `squarefree_decomposition`, `uni_gcd` or
-  `proper_power_form`.  The few surviving candidates are checked term by
-  term on field codes, and quadratic candidates (quartics only) one at a
-  time, by division.  Field arithmetic is table lookups on Python ints
-  (`ExtField`), so this module never loads numpy.  The two routes are
-  cross-checked exhaustively in the test suite and must never be merged.
+  form at y = 1).  Q's slices and its line-check terms are read once per
+  call and shared by every field searched.  A monomial slice has its roots
+  without evaluation; any other root set is found by evaluating the slice
+  at every code of the field that could be a root, never by gcds or
+  factoring: the oracle calls none of `squarefree_decomposition`,
+  `uni_gcd`, `proper_power_form` or the list kernels.  The few surviving
+  candidates are checked term by term on field codes, and quadratic
+  candidates (quartics only) one at a time, by division.  Field arithmetic
+  is table lookups on Python ints (`ExtField`), so this module never loads
+  numpy.  The two routes are cross-checked exhaustively in the test suite
+  and must never be merged.
 """
 
 from __future__ import annotations
@@ -151,25 +157,8 @@ class UniPoly:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        p = self.p
-        rem = dict(self.coeffs)
-        quo: dict[int, int] = {}
-        dB = other.degree
-        inv_lead = pow(other.lead(), -1, p)
-        while rem:
-            dR = max(rem)
-            if dR < dB:
-                break
-            c = rem[dR] * inv_lead % p
-            quo[dR - dB] = c
-            for d2, c2 in other.coeffs.items():
-                k = dR - dB + d2
-                v = (rem.get(k, 0) - c * c2) % p
-                if v:
-                    rem[k] = v
-                elif k in rem:
-                    del rem[k]
-        return UniPoly(p, quo), UniPoly(p, rem)
+        quo, rem = _divmod_dense(self.dense(), other.dense(), self.p)
+        return _from_dense(self.p, quo), _from_dense(self.p, rem)
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
@@ -178,7 +167,7 @@ class UniPoly:
         return self.divmod(other)[0]
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(self.p, {d - 1: d * c for d, c in self.coeffs.items() if d})
+        return _from_dense(self.p, _derivative_dense(self.dense(), self.p))
 
     def __call__(self, x: int) -> int:
         """Horner's rule over the stored degrees; `pow` only bridges gaps > 1."""
@@ -218,16 +207,65 @@ class UniPoly:
         return f"UniPoly({self.to_text()!r} mod {self.p})"
 
 
+# Dense kernels: coefficient lists low degree first, entries reduced mod p,
+# trimmed so the last entry is nonzero ([] is the zero polynomial).
+
+
+def _from_dense(p: int, a: list[int]) -> UniPoly:
+    """The UniPoly of a trimmed, reduced list; keys go in highest first."""
+    u = UniPoly.__new__(UniPoly)
+    u.p = p
+    u.coeffs = {d: a[d] for d in range(len(a) - 1, -1, -1) if a[d]}
+    return u
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _divmod_dense(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a nonzero b."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], list(a)
+    inv = pow(b[-1], -1, p)
+    if not db:
+        return [c * inv % p for c in a], []
+    rem, quo = list(a), [0] * (len(a) - db)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem.pop() * inv % p  # rem loses its top term at every step
+        if c:
+            quo[k] = c
+            for i in range(db):
+                rem[k + i] = (rem[k + i] - c * b[i]) % p
+    return quo, _trim(rem)
+
+
+def _gcd_dense(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of a and b, not both zero."""
+    while b:
+        a, b = b, _divmod_dense(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _derivative_dense(a: list[int], p: int) -> list[int]:
+    return _trim([d * a[d] % p for d in range(1, len(a))])
+
+
+def _difference_dense(a: list[int], b: list[int], p: int) -> list[int]:
+    return _trim([(u - v) % p for u, v in itertools.zip_longest(a, b, fillvalue=0)])
+
+
 def uni_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic gcd; constant gcds come back as the constant 1."""
     if f.is_zero() and g.is_zero():
         raise ZeroPolynomial("gcd of two zero polynomials")
     if f.p != g.p:
         raise ValueError("mixed moduli")
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    return _from_dense(f.p, _gcd_dense(f.dense(), g.dense(), f.p))
 
 
 @dataclass(frozen=True)
@@ -258,20 +296,21 @@ def squarefree_decomposition(f: UniPoly) -> SquarefreeDecomposition:
         raise DegreeVsCharacteristic(f"degree {d} >= characteristic {f.p}")
     p = f.p
     scalar = f.lead()
-    fm = f.monic()
+    inv = pow(scalar, -1, p)
+    fm = [c * inv % p for c in f.dense()]
     parts: list[tuple[UniPoly, int]] = []
-    df = fm.derivative()  # nonzero: 1 <= deg f < p
-    g = uni_gcd(fm, df)
-    v = fm // g
-    w = df // g
+    df = _derivative_dense(fm, p)  # nonzero: 1 <= deg f < p
+    g = _gcd_dense(fm, df, p)
+    v = _divmod_dense(fm, g, p)[0]
+    w = _divmod_dense(df, g, p)[0]
     i = 1
-    while v.degree >= 1:
-        z = w - v.derivative()
-        h = uni_gcd(v, z)
-        if h.degree >= 1:
-            parts.append((h, i))
-        v = v // h
-        w = z // h
+    while len(v) > 1:
+        z = _difference_dense(w, _derivative_dense(v, p), p)
+        h = _gcd_dense(v, z, p)
+        if len(h) > 1:
+            parts.append((_from_dense(p, h), i))
+        v = _divmod_dense(v, h, p)[0]
+        w = _divmod_dense(z, h, p)[0]
         i += 1
     return SquarefreeDecomposition(p, scalar, tuple(parts))
 
@@ -309,14 +348,21 @@ class BiPoly:
         raise ValueError(f"unknown variable {name!r}")
 
     def _degrees(self):
+        """(deg_x, deg_y, total degree, lowest total degree), in one pass."""
         if self._deg_cache is None:
-            if self.coeffs:
-                dx = max(i for i, _ in self.coeffs)
-                dy = max(j for _, j in self.coeffs)
-                dt = max(i + j for i, j in self.coeffs)
-            else:
-                dx = dy = dt = NEG_INF
-            self._deg_cache = (dx, dy, dt)
+            dx = dy = dt = NEG_INF
+            low = inf
+            for i, j in self.coeffs:
+                t = i + j
+                if i > dx:
+                    dx = i
+                if j > dy:
+                    dy = j
+                if t > dt:
+                    dt = t
+                if t < low:
+                    low = t
+            self._deg_cache = (dx, dy, dt, low)
         return self._deg_cache
 
     @property
@@ -387,7 +433,14 @@ class BiPoly:
 
     def shift_const(self, alpha: int) -> "BiPoly":
         """self - alpha."""
-        return self - BiPoly.const(self.p, alpha)
+        out = BiPoly(self.p)
+        coeffs = out.coeffs = dict(self.coeffs)
+        c = (coeffs.get((0, 0), 0) - alpha) % self.p
+        if c:
+            coeffs[(0, 0)] = c
+        else:
+            coeffs.pop((0, 0), None)
+        return out
 
     def eval(self, a: int, b: int) -> int:
         p = self.p
@@ -428,10 +481,8 @@ class BiPoly:
         """(True, total degree) if every monomial has the same total degree."""
         if not self.coeffs:
             raise ZeroPolynomial("homogeneity of the zero polynomial is undefined")
-        degs = {i + j for i, j in self.coeffs}
-        if len(degs) == 1:
-            return True, degs.pop()
-        return False, None
+        _, _, top, low = self._degrees()
+        return (True, top) if top == low else (False, None)
 
     def to_text(self) -> str:
         """Canonical text that re-parses to the same coefficient map."""
@@ -706,12 +757,91 @@ def _slice_roots(p: int, d: int, budget: int, coeffs: tuple[int, ...]) -> tuple[
     return tuple(roots)
 
 
-def _roots(F: ExtField, coeffs: list[int]) -> tuple[int, ...]:
-    """Roots in F of a nonzero univariate over F_p given low degree first."""
-    top = len(coeffs)
-    while not coeffs[top - 1]:
-        top -= 1
-    return _slice_roots(F.p, F.d, F.budget, tuple(coeffs[:top]))
+# a one-variable slice of Q as (coefficients, fixed roots); see `_slice`
+_Slice = tuple[Optional[tuple[int, ...]], Optional[tuple[int, ...]]]
+
+
+def _slice(coeffs: dict[int, int]) -> _Slice:
+    """A nonzero slice {degree: c} as (coefficients low degree first, fixed roots).
+
+    A monomial c*x^k vanishes at 0 alone when k >= 1 and nowhere when
+    k = 0, in every field, so its roots are fixed without evaluation and it
+    has no coefficient tuple; any other slice has fixed roots None and is
+    looked up in `_slice_roots`.
+    """
+    if len(coeffs) == 1:
+        return None, ((0,) if next(iter(coeffs)) else ())
+    dense = [0] * (max(coeffs) + 1)
+    for k, c in coeffs.items():
+        dense[k] = c
+    return tuple(dense), None
+
+
+def _roots(F: ExtField, sl: _Slice) -> tuple[int, ...]:
+    """Codes of F at which a `_slice` vanishes, ascending."""
+    s, fixed = sl
+    return _slice_roots(F.p, F.d, F.budget, s) if fixed is None else fixed
+
+
+def _line_setup(Q: BiPoly) -> tuple[list[_Slice], _Slice, _Slice, list[list[tuple[int, int, int]]]]:
+    """What the linear search needs of Q in any field: its nonzero
+    x-coefficient rows (monomials first), Q(x, 0) and Q_n(x, 1) as
+    `_slice`s, and for each y^t with 0 < t < n that has any, its
+    line-check terms (F_p scalar, k, i - k)."""
+    p, n = Q.p, Q.total_degree
+    rows: dict[int, dict[int, int]] = {}
+    x_slice: dict[int, int] = {}
+    top_slice: dict[int, int] = {}
+    terms = [[] for _ in range(n + 1)]
+    for (i, j), c in Q.coeffs.items():
+        rows.setdefault(i, {})[j] = c
+        if not j:
+            x_slice[i] = c
+        if i + j == n:
+            top_slice[i] = c
+        for k in range(max(0, 1 - j), min(i, n - 1 - j) + 1):  # 0 < j + k < n
+            scalar = c * comb(i, k) % p
+            if scalar:
+                terms[j + k].append((scalar, k, i - k))
+    slices = [_slice(row) for row in rows.values()]
+    slices.sort(key=lambda sl: sl[1] is None)
+    return slices, _slice(x_slice), _slice(top_slice), [row for row in terms if row]
+
+
+def _linear_search(lines, F: ExtField) -> bool:
+    """`_linear_factor_exists` over F, given Q's `_line_setup`."""
+    rows, x_slice, top_slice, terms = lines
+    common: Optional[set[int]] = None
+    for row in rows:
+        roots = _roots(F, row)
+        common = set(roots) if common is None else common.intersection(roots)
+        if not common:
+            break
+    if common:
+        return True
+    gs = _roots(F, x_slice)
+    if not gs:
+        return False
+    bs = _roots(F, top_slice)
+    log, zech, m = F.log, F.zech, F.q - 1
+    logged = [[(log[s], k, r) for s, k, r in row] for row in terms]
+    for b, g in itertools.product(bs, gs):
+        lb, lg = log[b], log[g]
+        for row in logged:
+            acc = -1  # log of the coefficient so far, -1 for 0
+            for ls, k, r in row:
+                if (b or not k) and (g or not r):
+                    lt = ls + k * lb + r * lg
+                    if acc < 0:
+                        acc = lt
+                    else:
+                        z = zech[(lt - acc) % m]
+                        acc = acc + z if z >= 0 else -1
+            if acc >= 0:
+                break
+        else:
+            return True
+    return False
 
 
 def _linear_factor_exists(Q: BiPoly, F: ExtField) -> bool:
@@ -725,51 +855,18 @@ def _linear_factor_exists(Q: BiPoly, F: ExtField) -> bool:
       row sum_j c_ij y^j, so the common roots settle this family;
     * x - (b*y + g) divides Q iff Q(b*y + g, y) = 0.  Its y^0 coefficient
       is Q(g, 0) and its y^n coefficient is Q_n(b, 1), Q_n the top form of
-      Q, so g must be a root of Q(x, 0) and b a root of Q_n(x, 1).  Each
-      surviving pair (b, g) is checked term by term: c_ij binom(i, k)
-      b^k g^(i-k) goes into the y^(j+k) coefficient, multiplied in the log
-      domain and added through the Zech table, and the pair is a divisor
-      when every coefficient vanishes.
+      Q, so g must be a root of Q(x, 0) and b a root of Q_n(x, 1), and then
+      both coefficients vanish.  Each surviving pair (b, g) is checked on
+      the others term by term: c_ij binom(i, k) b^k g^(i-k) goes into the
+      y^(j+k) coefficient, multiplied in the log domain and added through
+      the Zech table, and the pair is a divisor when every coefficient
+      vanishes.
 
     Q(x, 0) is nonzero here: divisibility by y is handled by the caller.
+    `factor_oracle` runs `_line_setup` once per Q and `_linear_search`
+    once per field.
     """
-    p, n = F.p, Q.total_degree
-    C = [[0] * (n + 1) for _ in range(n + 1)]  # C[i][j] = c_ij
-    for (i, j), c in Q.coeffs.items():
-        C[i][j] = c
-    common: Optional[set[int]] = None
-    for row in C:
-        if any(row):
-            roots = _roots(F, row)
-            common = set(roots) if common is None else common.intersection(roots)
-            if not common:
-                break
-    if common:
-        return True
-    gs = _roots(F, [row[0] for row in C])
-    if not gs:
-        return False
-    bs = _roots(F, [C[i][n - i] for i in range(n + 1)])
-
-    exp, log, add, m = F.exp, F.log, F.add, F.q - 1
-    terms = [[] for _ in range(n + 1)]  # terms[t]: (log scalar, k, i - k) of y^t
-    for (i, j), c in Q.coeffs.items():
-        for k in range(i + 1):
-            scalar = c * comb(i, k) % p
-            if scalar:
-                terms[j + k].append((log[scalar], k, i - k))
-    for b, g in itertools.product(bs, gs):
-        lb, lg = log[b], log[g]
-        for row in terms:
-            acc = 0
-            for ls, k, r in row:
-                if (b or not k) and (g or not r):
-                    acc = add(acc, exp[(ls + k * lb + r * lg) % m])
-            if acc:
-                break
-        else:
-            return True
-    return False
+    return _linear_search(_line_setup(Q), F)
 
 
 _GLEX_LEADS = (
@@ -858,11 +955,11 @@ def factor_oracle(
         return True  # y | Q
     if all(i >= 1 for i, _ in Q.coeffs):
         return True  # x | Q
-    p = Q.p
+    p, lines = Q.p, _line_setup(Q)
     for d in range(1, d_max + 1):
         if 2 * d <= min(d_max, EXT_MAX_DEGREE) and p ** (2 * d) <= ext_budget:
             continue  # F_{p^d} lies in F_{p^(2d)}
-        if _linear_factor_exists(Q, ext_field(p, d, ext_budget)):
+        if _linear_search(lines, ext_field(p, d, ext_budget)):
             return True
     if n == 4:
         for d in range(1, min(2, d_max) + 1):

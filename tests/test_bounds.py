@@ -1,9 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from sumprod import bounds
 from sumprod.bounds import (
     ProbeConfig,
     _verdict,
@@ -93,12 +95,29 @@ def test_fiber_c1_monotone_and_integer():
 
 
 def test_verdict_borderline_flag():
-    v = _verdict("t2", "", 10**6, 10**6 + 1e-10, ">", 1.0)
+    v = _verdict("t2", "", 10**6, 10**6 + 1e-10, 10**6 > 10**6 + 1e-10, 1.0)
     assert v.borderline and v.holds is False
-    v = _verdict("t2", "", 10**6, 10**6 + 10.0, ">", 1.0)
+    v = _verdict("t2", "", 10**6, 10**6 + 10.0, 10**6 > 10**6 + 10.0, 1.0)
     assert not v.borderline and v.holds is False
-    v = _verdict("t2", "because", 5, 1.0, ">", 1.0)
+    v = _verdict("t2", "because", 5, 1.0, True, 1.0)
     assert v.holds is None and v.premise_reason == "because"
+
+
+def test_gv_and_vm_hold_at_the_exact_bound_of_a_cube_order(monkeypatch):
+    # at |G| = c^3 the float |G|^(2/3) lands just below c^2, so a float
+    # comparison would reject lhs equal to the exact bound
+    G = subgroup_of_order(smallest_admitted_prime(125), 125)
+    monkeypatch.setattr(bounds, "shift_intersection", lambda G, mu: 100)
+    v = verify_shift_overlap_bound(G, 1)
+    assert v.premise_ok and v.rhs == 99.99999999999999 and v.lhs == 100
+    assert v.holds is True and v.borderline
+
+    prime = smallest_admitted_prime(343)
+    G = subgroup_of_order(prime, 343)
+    monkeypatch.setattr(bounds, "count_level_pairs", lambda *a, **k: SimpleNamespace(total=1176))
+    v = verify_level_pair_bound(parse_bipoly("x+y", prime), G, value_set(prime, [2]))
+    assert v.premise_ok and v.rhs == 1175.9999999999998 and v.lhs == 1176
+    assert v.holds is True and v.borderline
 
 
 def test_image_lower_bound_small_group_not_admitted():

@@ -261,6 +261,23 @@ def test_squarefree_reconstructs(data):
         assert uni_gcd(part, part.derivative()).degree == 0  # squarefree
 
 
+@settings(max_examples=200)
+@given(data=st.data())
+def test_every_unipoly_result_stores_keys_highest_first(data):
+    # degree and lead read the first key, so a result whose keys were
+    # written lowest degree first would answer wrongly without raising
+    p = data.draw(st.sampled_from([5, 13, 101]))
+    f = data.draw(random_unipoly(p))
+    g = data.draw(random_unipoly(p, nonzero=True))
+    results = [*f.divmod(g), f % g, f // g, uni_gcd(f, g), g.monic(), f.derivative(),
+               f + g, f - g, f * g]
+    for s in (g, f * g * g):
+        if 1 <= s.degree < p:
+            results += [part for part, _ in squarefree_decomposition(s).parts]
+    for u in results:
+        assert list(u.coeffs) == sorted(u.coeffs, reverse=True), u
+
+
 # --- the irreducibility machinery -------------------------------------------
 
 
@@ -504,6 +521,20 @@ def test_factor_oracle_calls_none_of_the_criterion_helpers(monkeypatch):
     assert [factor_oracle(Q, d_max) for Q, d_max in calls] == expected
 
 
+def test_factor_oracle_calls_none_of_the_list_kernels(monkeypatch):
+    # the criterion's dense kernels are its own, like its public helpers
+    calls = [Q for p, Q in _ZERO_ROOT_FORMS if Q.total_degree == 3]
+    expected = [factor_oracle(Q, 3) for Q in calls]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("factor_oracle must not use the criterion's list kernels")
+
+    for name in ("_from_dense", "_divmod_dense", "_gcd_dense", "_derivative_dense",
+                 "_difference_dense"):
+        monkeypatch.setattr(poly, name, forbidden)
+    assert [factor_oracle(Q, 3) for Q in calls] == expected
+
+
 def _roots_by_evaluation(coeffs, F):
     """Codes where the slice vanishes: x^k by repeated F.mul, sums digit by digit."""
 
@@ -531,6 +562,20 @@ def test_slice_roots_match_evaluation_at_every_code(p, d):
     for coeffs in slices:
         coeffs = coeffs[: max(k for k, a in enumerate(coeffs) if a) + 1]
         assert _slice_roots(p, d, F.budget, coeffs) == _roots_by_evaluation(coeffs, F), coeffs
+
+
+@pytest.mark.parametrize("p, d", [(3, 2), (5, 2), (5, 3)])
+def test_monomial_slices_take_their_roots_without_evaluation(p, d):
+    # c*x^k vanishes at 0 alone for k >= 1 and nowhere for k = 0, over
+    # F_9, F_25 and F_125; any other slice keeps its coefficients for
+    # _slice_roots
+    F = ext_field(p, d)
+    for k in range(5):
+        for c in range(1, p):
+            sl = poly._slice({k: c})
+            assert sl[0] is None, (c, k)
+            assert poly._roots(F, sl) == _roots_by_evaluation((0,) * k + (c,), F), (c, k)
+    assert poly._slice({0: 1, 2: 3}) == ((1, 0, 3), None)
 
 
 def test_slice_roots_are_cached_per_field():
