@@ -5,8 +5,9 @@ Each verifier returns a Verdict that keeps three things separate:
   * premise — whether the inequality's hypotheses hold for this instance
     (with the first failing clause named when they do not);
   * holds — whether the LHS meets the bound, only assigned when the
-    premise is met: gv and vm decide it in integers (both sides cubed), t2
-    and thmap compare the integer LHS with the double-precision RHS;
+    premise is met, and decided exactly: both sides are raised to a power
+    that clears the fractional exponent (squared for t2, cubed for gv and
+    vm, to the 2n-th for thmap) and compared in integers and Fractions;
   * ratio — LHS divided by the pure power of |G| in the bound, recorded
     unconditionally so sweeps can chart growth even off-premise.
 
@@ -18,10 +19,10 @@ unspecified constant are reported as ratios with no verdict at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import record
 from .errors import DuplicateY, LengthMismatch, NotRequired, SizeBudget
 from .field import EXT_ELEMENT_BUDGET
 from .poly import BiPoly, UniPoly, is_good, is_permissible, is_required, uni_gcd
@@ -43,13 +44,14 @@ REL_TOL = 1e-12
 # constants
 
 
-@dataclass(frozen=True)
+@record
 class ImageBoundConstants:
     """Constants scaling the image lower bound for a degree-n instance.
 
     c1 and c2 are exact; c = min(((100n^2-1)/(100n^2*c1))^{3/2}, c2) needs
     a real 3/2 power, so the minimum is selected by comparing squares
     exactly and only the winning branch is evaluated in floating point.
+    Its exact square is `_image_c_squared`.
     """
 
     n: int
@@ -63,7 +65,7 @@ def image_bound_constants(n: int) -> ImageBoundConstants:
         raise ValueError("degree must be >= 1")
     c1 = 24 * n**4
     c2 = Fraction(1, 40**3 * n**9)
-    base = Fraction(100 * n**2 - 1, 100 * n**2 * c1)
+    base = _image_base(n, c1)
     # branch1 = base^{3/2};  branch1 <= c2  <=>  base^3 <= c2^2
     if base**3 <= c2**2:
         c = math.sqrt(float(base)) * float(base)
@@ -72,7 +74,17 @@ def image_bound_constants(n: int) -> ImageBoundConstants:
     return ImageBoundConstants(n, c1, c2, c)
 
 
-@dataclass(frozen=True)
+def _image_base(n: int, c1: int) -> Fraction:
+    """(100n^2 - 1)/(100n^2 * c1), whose 3/2 power is c's first branch."""
+    return Fraction(100 * n**2 - 1, 100 * n**2 * c1)
+
+
+def _image_c_squared(consts: ImageBoundConstants) -> Fraction:
+    """c^2 = min(base^3, c2^2) as an exact Fraction."""
+    return min(_image_base(consts.n, consts.c1) ** 3, consts.c2**2)
+
+
+@record
 class FiberBoundConstants:
     """Constants for the fiber-size bound with degree vector m = (m_1..m_n)."""
 
@@ -100,7 +112,7 @@ def fiber_bound_constants(m: Sequence[int], n: int) -> FiberBoundConstants:
 # verdicts
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     """Outcome of checking one inequality on one instance."""
 
@@ -141,14 +153,17 @@ def verify_image_lower_bound(
     max_pairs: int = DEFAULT_MAX_PAIRS,
     ext_budget: int = EXT_ELEMENT_BUDGET,
 ) -> Verdict:
-    """|P(G, G)| > c(n) * |G|^{3/2} for good P and an admitted subgroup."""
+    """|P(G, G)| > c(n) * |G|^{3/2} for good P and an admitted subgroup.
+
+    holds is decided exactly, as lhs^2 > c^2 * |G|^3.
+    """
     n = max(P.total_degree, 0)
     reason = _good_admitted_premise(P, G, n, ext_budget)
     lhs = image_size(P, G, max_pairs=max_pairs)
     denom = G.order**1.5
-    c = image_bound_constants(max(n, 1)).c
-    rhs = c * denom
-    return _verdict("t2", reason, lhs, rhs, lhs > rhs, lhs / denom)
+    consts = image_bound_constants(max(n, 1))
+    holds = lhs * lhs > _image_c_squared(consts) * G.order**3
+    return _verdict("t2", reason, lhs, consts.c * denom, holds, lhs / denom)
 
 
 def verify_level_pair_bound(
@@ -205,11 +220,13 @@ def verify_fiber_bound(
     The premise needs the f_i permissible and c1 < |G| < c2 * p^{1-1/(2n+1)}
     for the constants built from the degree vector m.  The upper window is
     decided exactly: raising both sides to the power 2n+1 turns it into
-    |G|^{2n+1} * (n+1)^{2n} * (prod m)^2 < p^{2n}.  A constant f_i has no
-    degree-vector entry: the verdict then reports the permissibility
-    failure with rhs 0 rather than inventing constants.  Every Coset carries
-    its subgroup, and F_p* has one subgroup per order, so each coset is
-    checked by its subgroup's prime and order.
+    |G|^{2n+1} * (n+1)^{2n} * (prod m)^2 < p^{2n}.  So is holds: raising
+    both sides to the power 2n turns it into
+    lhs^{2n} <= (4 (n+1) sum m)^{2n} * (prod m)^2 * |G|^{n+1}.  A constant
+    f_i has no degree-vector entry: the verdict then reports the
+    permissibility failure with rhs 0 rather than inventing constants.
+    Every Coset carries its subgroup, and F_p* has one subgroup per order,
+    so each coset is checked by its subgroup's prime and order.
     max_pairs caps the F_p scan of fiber_set.
     """
     n = len(fs)
@@ -222,6 +239,7 @@ def verify_fiber_bound(
     degs = [f.degree for f in fs]
     reason = ""
     rhs = 0.0
+    bound = 0  # holds is lhs^{2n} <= bound
     exponent = 0.5 + 1 / (2 * n)
     denom = G.order**exponent
     if not perm:
@@ -229,23 +247,25 @@ def verify_fiber_bound(
     if all(d >= 1 for d in degs):
         consts = fiber_bound_constants([int(d) for d in degs], n)
         rhs = consts.c3 * denom
+        prod_m = math.prod(consts.m)
+        bound = (4 * (n + 1) * sum(consts.m)) ** (2 * n) * prod_m**2 * G.order ** (n + 1)
         if not reason:
             if not consts.c1 < G.order:
                 reason = "subgroup-too-small"
             elif not (
-                G.order ** (2 * n + 1) * (n + 1) ** (2 * n) * math.prod(consts.m) ** 2
+                G.order ** (2 * n + 1) * (n + 1) ** (2 * n) * prod_m**2
                 < G.p ** (2 * n)
             ):
                 reason = "subgroup-too-large"
     lhs = len(fiber_set(fs, cosets, max_pairs=max_pairs))
-    return _verdict("thmap", reason, lhs, rhs, lhs <= rhs, lhs / denom)
+    return _verdict("thmap", reason, lhs, rhs, lhs ** (2 * n) <= bound, lhs / denom)
 
 
 # ---------------------------------------------------------------------------
 # growth probe (ratio-only: the bounds carry no explicit constant)
 
 
-@dataclass(frozen=True)
+@record
 class GrowthReport:
     """Sumset/difference-set sizes with ratios against |G|^{4/3},
     |G|^{5/3}/log^{1/2}|G| (natural log), and |G|^{3/2}."""
@@ -283,7 +303,7 @@ def probe_growth(G: Subgroup, *, max_pairs: int = DEFAULT_MAX_PAIRS) -> GrowthRe
 # permissible-subset extraction
 
 
-@dataclass(frozen=True)
+@record
 class ExtractionCertificate:
     """Audit trail of one extraction run: what was dropped, why, and the
     guaranteed minimum the kept set had to meet."""
@@ -377,7 +397,7 @@ def h_min_formula(n: int, k: int, l: int) -> int:
 # factorization probe (asymptotic statement: report, never judge)
 
 
-@dataclass(frozen=True)
+@record
 class ProbeConfig:
     """Exponent slack (epsilon) and size slack (delta), both in (0, 1)."""
 
@@ -391,7 +411,7 @@ class ProbeConfig:
             raise ValueError("epsilon must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
+@record
 class FactorizationProbe:
     """Whether P(A, B) covers G exactly, and where the factor sizes sit
     relative to |G|^{1/2 +- epsilon}."""

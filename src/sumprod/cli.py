@@ -9,10 +9,10 @@ errors are remapped to 1.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
+from ._record import asdict
 from .bounds import extract_permissible
 from .errors import WorkbenchError
 from .field import EXT_ELEMENT_BUDGET, make_prime
@@ -238,7 +238,7 @@ def _cmd_verify(args) -> int:
 def _cmd_probe(args) -> int:
     _subgroup(args.p, args.order)
     if args.what == "growth":
-        out = dataclasses.asdict(_evaluate(args, "growth"))
+        out = asdict(_evaluate(args, "growth"))
     else:
         if args.poly is None or args.A is None or args.B is None:
             raise WorkbenchError("probe factorization: need --poly, --A, --B")

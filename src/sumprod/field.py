@@ -16,10 +16,10 @@ root can take.  Everything here is plain Python ints; nothing loads numpy.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
+from ._record import record
 from .errors import BudgetExceeded, CompositeInput, ZeroInverse
 
 MAX_PRIME = 2**64 - 1
@@ -54,7 +54,7 @@ def is_prime_u64(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class Prime:
     """An odd prime modulus, certified on construction."""
 

@@ -36,11 +36,11 @@ h(x, y) - alpha stays irreducible over the algebraic closure:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from math import comb, gcd, inf
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
+from ._record import record
 from .errors import (
     BudgetExceeded,
     DegreeOverflow,
@@ -268,7 +268,7 @@ def uni_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     return _from_dense(f.p, _gcd_dense(f.dense(), g.dense(), f.p))
 
 
-@dataclass(frozen=True)
+@record
 class SquarefreeDecomposition:
     """f = scalar * prod(factor^multiplicity) with monic squarefree factors."""
 
@@ -659,7 +659,7 @@ def is_required(P: BiPoly) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class PowerForm:
     """Whether a homogeneous form is a scalar times a proper power."""
 
@@ -783,29 +783,37 @@ def _roots(F: ExtField, sl: _Slice) -> tuple[int, ...]:
     return _slice_roots(F.p, F.d, F.budget, s) if fixed is None else fixed
 
 
-def _line_setup(Q: BiPoly) -> tuple[list[_Slice], _Slice, _Slice, list[list[tuple[int, int, int]]]]:
+def _line_terms(Q: BiPoly) -> list[list[tuple[int, int, int]]]:
+    """For each y^t with 0 < t < n that has any, Q's line-check terms
+    (F_p scalar, k, i - k)."""
+    p, n = Q.p, Q.total_degree
+    terms = [[] for _ in range(n + 1)]
+    for (i, j), c in Q.coeffs.items():
+        for k in range(max(0, 1 - j), min(i, n - 1 - j) + 1):  # 0 < j + k < n
+            scalar = c * comb(i, k) % p
+            if scalar:
+                terms[j + k].append((scalar, k, i - k))
+    return [row for row in terms if row]
+
+
+def _line_setup(Q: BiPoly) -> tuple[list[_Slice], _Slice, _Slice, Callable[[], list]]:
     """What the linear search needs of Q in any field: its nonzero
     x-coefficient rows (monomials first), Q(x, 0) and Q_n(x, 1) as
-    `_slice`s, and for each y^t with 0 < t < n that has any, its
-    line-check terms (F_p scalar, k, i - k)."""
-    p, n = Q.p, Q.total_degree
+    `_slice`s, and a call giving its `_line_terms`, built on the first call:
+    only a field with a surviving (b, g) pair reads them."""
+    n = Q.total_degree
     rows: dict[int, dict[int, int]] = {}
     x_slice: dict[int, int] = {}
     top_slice: dict[int, int] = {}
-    terms = [[] for _ in range(n + 1)]
     for (i, j), c in Q.coeffs.items():
         rows.setdefault(i, {})[j] = c
         if not j:
             x_slice[i] = c
         if i + j == n:
             top_slice[i] = c
-        for k in range(max(0, 1 - j), min(i, n - 1 - j) + 1):  # 0 < j + k < n
-            scalar = c * comb(i, k) % p
-            if scalar:
-                terms[j + k].append((scalar, k, i - k))
     slices = [_slice(row) for row in rows.values()]
     slices.sort(key=lambda sl: sl[1] is None)
-    return slices, _slice(x_slice), _slice(top_slice), [row for row in terms if row]
+    return slices, _slice(x_slice), _slice(top_slice), cache(partial(_line_terms, Q))
 
 
 def _linear_search(lines, F: ExtField) -> bool:
@@ -823,8 +831,10 @@ def _linear_search(lines, F: ExtField) -> bool:
     if not gs:
         return False
     bs = _roots(F, top_slice)
+    if not bs:
+        return False
     log, zech, m = F.log, F.zech, F.q - 1
-    logged = [[(log[s], k, r) for s, k, r in row] for row in terms]
+    logged = [[(log[s], k, r) for s, k, r in row] for row in terms()]
     for b, g in itertools.product(bs, gs):
         lb, lg = log[b], log[g]
         for row in logged:
@@ -973,7 +983,7 @@ def factor_oracle(
 # combined shape checks
 
 
-@dataclass(frozen=True)
+@record
 class GoodCheck:
     """Outcome of the image-growth shape test, with the first failing clause."""
 
@@ -997,7 +1007,7 @@ def is_good(P: BiPoly, *, ext_budget: int = EXT_ELEMENT_BUDGET) -> GoodCheck:
     return GoodCheck(True, None)
 
 
-@dataclass(frozen=True)
+@record
 class PermissibleCheck:
     """Outcome of the private-root test for a family of univariates."""
 

@@ -27,10 +27,10 @@ import functools
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from ._record import record
 from .errors import (
     CosetCollision,
     LengthMismatch,
@@ -50,7 +50,7 @@ DEFAULT_MAX_PAIRS = 10**8
 _CHUNK = 1 << 22
 
 
-@dataclass(frozen=True)
+@record
 class ValueSet:
     """A subset of F_p as a sorted, deduplicated tuple of residues."""
 
@@ -84,7 +84,7 @@ def value_set(prime: Prime, values: Iterable[int]) -> ValueSet:
     return ValueSet(prime, tuple(sorted({v % p for v in values})))
 
 
-@dataclass(frozen=True)
+@record
 class PairCount:
     """Level-set pair counts over G x G; total is the sum of the levels."""
 
@@ -265,14 +265,15 @@ def _walk_fiber(fs: Sequence[UniPoly], cosets: Sequence[Coset], p: int) -> list[
     (the family must have one).
 
     A linear f = a*x + b maps onto the coset r*G from exactly the preimage
-    {(r*g - b) * a^-1 : g in G}.  The fiber is the intersection of those
-    preimages, kept where every other f_j(x) lies in the j-th coset.
+    {(r*g - b) * a^-1 : g in G}, for any member r of the coset.  The fiber
+    is the intersection of those preimages, kept where every other f_j(x)
+    lies in the j-th coset.
     """
     linear = [i for i, f in enumerate(fs) if f.degree == 1]
     preimages = []
     for i in linear:
         inv = pow(fs[i].coeffs[1], -1, p)
-        s = cosets[i].representative * inv % p  # (r*g - b) * a^-1 = s*g - t
+        s = cosets[i].member * inv % p  # (r*g - b) * a^-1 = s*g - t
         t = fs[i].coeffs.get(0, 0) * inv % p
         preimages.append({(s * g - t) % p for g in cosets[i].subgroup.elements})
     fiber = set.intersection(*preimages)

@@ -3,23 +3,25 @@
 F_p* is cyclic, so there is exactly one subgroup per divisor of p - 1; each
 is generated by g^((p-1)/d) for the canonical (smallest) primitive root g.
 G is the kernel of x -> x^|G|, so the key v^|G| mod p, found in
-O(log |G|), says which coset v lies in: membership in a subgroup or a
-coset comes from the key, and element lists are built on first use.
-Cosets are named by their smallest member, which makes every partition and
-report deterministic.
+O(log |G|), says which coset v lies in.  The key is a coset's identity:
+two Cosets are equal exactly when they share the subgroup and the key, and
+membership in a subgroup or a coset is read from it.  A Coset keeps the
+member it was built from; its smallest member, which names it in every
+partition, message and repr, and its element list are computed on first
+use.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._record import record
 from .errors import ZeroValue
 from .field import Prime, _primitive_root_int, divisors
 
 
-@dataclass(frozen=True)
+@record
 class Subgroup:
     """The order-d subgroup of F_p*, given by a generator."""
 
@@ -79,34 +81,48 @@ def is_admitted(G: Subgroup, n: int) -> bool:
     return in_admitted_window(G.order, n, G.p)
 
 
-@dataclass(frozen=True)
+@record
 class Coset:
-    """The coset v * G for any nonzero v, named by its smallest member.
+    """The coset v * G for any nonzero v.
 
-    Construction replaces v by that member, so two Cosets are equal exactly
-    when they are the same coset of the same subgroup.  The sorted members
-    are built on first use.
+    It keeps v mod p as `member` and compares and hashes by (subgroup, key),
+    the key being v^|G| mod p, so Cosets built from any two members of one
+    coset are equal.  `representative`, the smallest member, and the sorted
+    `members` are computed on first read.
     """
 
     subgroup: Subgroup
-    representative: int
+    representative: int  # read-only: the smallest member, see below
 
-    def __post_init__(self):
-        G = self.subgroup
-        p, v = G.p, self.representative % G.p
+    def __init__(self, subgroup: Subgroup, representative: int):
+        p = subgroup.p
+        v = representative % p
         if v == 0:
             raise ZeroValue("0 belongs to no multiplicative coset")
-        object.__setattr__(self, "representative", min(v * g % p for g in G.elements))
+        self.__dict__.update(subgroup=subgroup, member=v, key=pow(v, subgroup.order, p))
+
+    def __eq__(self, other):
+        if other.__class__ is Coset:
+            return self.key == other.key and self.subgroup == other.subgroup
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.subgroup, self.key))
+
+    @functools.cached_property
+    def representative(self) -> int:
+        p, v = self.subgroup.p, self.member
+        return min(v * g % p for g in self.subgroup.elements)
 
     @functools.cached_property
     def members(self) -> tuple[int, ...]:
-        p, rep = self.subgroup.p, self.representative
-        return tuple(sorted(rep * g % p for g in self.subgroup.elements))
+        p, v = self.subgroup.p, self.member
+        return tuple(sorted(v * g % p for g in self.subgroup.elements))
 
     def __contains__(self, w: int) -> bool:
-        """By the key: w lies in the coset when w^|G| = representative^|G|."""
-        p, d = self.subgroup.p, self.subgroup.order
-        return 0 < w < p and pow(w, d, p) == pow(self.representative, d, p)
+        """By the key: w lies in the coset when w^|G| = member^|G|."""
+        p = self.subgroup.p
+        return 0 < w < p and pow(w, self.subgroup.order, p) == self.key
 
     def __len__(self) -> int:
         return self.subgroup.order
@@ -117,7 +133,7 @@ def coset_of(v: int, G: Subgroup) -> Coset:
     return Coset(G, v)
 
 
-@dataclass(frozen=True)
+@record
 class CosetPartition:
     """Rows (representative, values-from-the-input-in-that-coset), plus a
     flag for any zeros that were set aside."""

@@ -38,9 +38,9 @@ import os
 import random
 import sys
 from array import array
-from dataclasses import dataclass, field as dc_field, fields
 from typing import Any, Iterable, Iterator, Sequence
 
+from ._record import Factory, fields, record
 from .bounds import (
     FactorizationProbe,
     GrowthReport,
@@ -113,7 +113,7 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
+@record
 class SweepConfig:
     """Validated sweep description; build one with from_json/from_file."""
 
@@ -121,7 +121,7 @@ class SweepConfig:
     primes: tuple[int, ...]
     orders: Any  # "all" | tuple of ints | ("admitted_for_n", n)
     polys: tuple[str, ...]
-    params: dict[str, Any] = dc_field(default_factory=dict)
+    params: dict[str, Any] = Factory(dict)
     seed: int = 0
     max_pairs: int = DEFAULT_MAX_PAIRS
     ext_elements: int = EXT_ELEMENT_BUDGET
@@ -477,7 +477,7 @@ def evaluate(inst: dict) -> Verdict | GrowthReport | FactorizationProbe:
 
 # the fields of a growth or probe result that go into its record's "extra"
 _EXTRA_FIELDS = {
-    cls: tuple(f.name for f in fields(cls) if f.name not in ("p", "order"))
+    cls: tuple(name for name in fields(cls) if name not in ("p", "order"))
     for cls in (GrowthReport, FactorizationProbe)
 }
 

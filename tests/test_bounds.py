@@ -120,6 +120,39 @@ def test_gv_and_vm_hold_at_the_exact_bound_of_a_cube_order(monkeypatch):
     assert v.holds is True and v.borderline
 
 
+def test_thmap_holds_at_the_exact_bound_of_a_cube_order(monkeypatch):
+    # n = 3, m = (1, 1, 1): c3 = 48 and the exponent 1/2 + 1/6 is just below
+    # 2/3 as a float, so at |G| = 5^3 the float rhs lands below 48 * 5^2
+    prime = smallest_admitted_prime(125)
+    G = subgroup_of_order(prime, 125)
+    fs = [UniPoly(prime.p, {0: c, 1: 1}) for c in (1, 2, 3)]
+    cosets = [coset_of(r, G) for r in (1, 2, 3)]
+    monkeypatch.setattr(bounds, "fiber_set", lambda *a, **k: range(48 * 25))
+    v = verify_fiber_bound(fs, cosets, G)
+    assert v.premise_ok and v.rhs < 1200 and v.lhs == 1200
+    assert v.holds is True and v.borderline
+    monkeypatch.setattr(bounds, "fiber_set", lambda *a, **k: range(1201))
+    assert verify_fiber_bound(fs, cosets, G).holds is False
+
+
+@pytest.mark.parametrize("n, poly, k", [(1, "x+y", 80), (2, "x^2+y^2", 320)])
+def test_t2_holds_is_the_integer_decision_near_the_bound(monkeypatch, n, poly, k):
+    # at |G| = k^2 the bound c * |G|^(3/2) = c * k^3 is an integer; holds
+    # must be lhs^2 > c^2 |G|^3 with c^2 = min(base^3, c2^2) taken exactly
+    d = k * k
+    base = Fraction(100 * n**2 - 1, 100 * n**2 * 24 * n**4)
+    c_sq = min(base**3, Fraction(1, 40**3 * n**9) ** 2)
+    prime = smallest_admitted_prime(d)
+    G, P = subgroup_of_order(prime, d), parse_bipoly(poly, prime)
+    exact = math.isqrt(int(c_sq * d**3))  # the integer c * k^3
+    assert exact**2 == c_sq * d**3
+    for lhs in range(max(exact - 2, 1), exact + 3):
+        monkeypatch.setattr(bounds, "image_size", lambda *a, lhs=lhs, **kw: lhs)
+        v = verify_image_lower_bound(P, G)
+        assert v.premise_ok and v.lhs == lhs
+        assert v.holds is (lhs * lhs > c_sq * d**3) is (lhs > exact)
+
+
 def test_image_lower_bound_small_group_not_admitted():
     v = verify_image_lower_bound(parse_bipoly("x+y", P13), G3)
     assert v.inequality == "t2"

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import functools
 import glob
 import io
@@ -275,6 +274,38 @@ def test_import_leaves_the_process_pool_out():
     code = "import sys, sumprod, sumprod.cli; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+_RECORD_PROBE = """
+import json, sys
+import sumprod, sumprod.cli
+def heavy():
+    return sorted({"dataclasses", "inspect"} & set(sys.modules))
+seen = [heavy()]
+for argv in json.loads(sys.argv[1]):
+    assert sumprod.cli.main(argv) == 0, argv
+    seen.append(heavy())
+print(json.dumps(seen))
+"""
+
+
+def test_import_and_sweeps_leave_dataclasses_and_inspect_out(tmp_path):
+    """Records are built without `dataclasses`, so neither it nor the
+    `inspect` it pulls in is loaded by the import, by a gv, t2, vm, growth
+    or thmap sweep, or by check-good."""
+    configs = [os.path.join(CONFIG_DIR, f"{name}.json")
+               for name in ("gv_small", "growth_probe", "vm_sampled", "thmap_window")]
+    t2_path = tmp_path / "t2.json"
+    t2_path.write_text(json.dumps({
+        "inequality": "t2", "primes": [92921], "orders": [4, 101], "polys": ["x+y"], "seed": 1,
+    }))
+    configs.append(str(t2_path))
+    out = str(tmp_path / "report.jsonl")
+    argvs = [["sweep", "--config", c, "--out", out, "--jobs", "1"] for c in configs]
+    argvs.append(["check-good", "--p", "3", "--poly", "x^3+x*y^2+2*y^3"])
+    run = subprocess.run([sys.executable, "-c", _RECORD_PROBE, json.dumps(argvs)],
+                         capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == [[]] * 7
 
 
 _NUMPY_PROBE = """
@@ -877,7 +908,8 @@ def test_cli_sweep_counts_violations(tmp_path, monkeypatch, capsys):
         v = real(G, mu)
         if (G.p, G.order, v.lhs) == (13, 4, 2):
             assert v.premise_ok and v.holds is True
-            v = dataclasses.replace(v, holds=False)
+            v = Verdict(v.inequality, v.premise_ok, v.premise_reason, v.lhs, v.rhs, False,
+                        v.borderline, v.ratio)
         return v
 
     doc = {"inequality": "gv", "primes": [7, 13], "orders": "all", "seed": 1}
@@ -947,7 +979,8 @@ def test_gv_units_share_synthetic_verdicts_by_lhs(monkeypatch, fmt):
     def synthetic(G, mu):
         lhs = shift_intersection(G, mu)
         v = SYNTHETIC_OUTCOMES[lhs % 5]
-        return dataclasses.replace(v, lhs=lhs, borderline=v.borderline or lhs == 1)
+        return Verdict(v.inequality, v.premise_ok, v.premise_reason, lhs, v.rhs, v.holds,
+                       v.borderline or lhs == 1, v.ratio)
 
     monkeypatch.setattr(sweep, "verify_shift_overlap_bound", synthetic)
     cfg = gv_config(primes=[61, 191], params={"mu_sample": 40}, seed=8)
