@@ -19,8 +19,7 @@ unspecified constant are reported as ratios with no verdict at all.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ._record import record
 from .errors import DuplicateY, LengthMismatch, NotRequired, SizeBudget
@@ -36,6 +35,11 @@ from .setops import (
     shift_intersection,
 )
 from .subgroup import Coset, Subgroup, is_admitted
+
+if TYPE_CHECKING:
+    # `fractions` loads `decimal`; it is imported where a Fraction is built,
+    # so gv, thmap and the irreducibility checks never load it
+    from fractions import Fraction
 
 REL_TOL = 1e-12
 
@@ -63,6 +67,8 @@ class ImageBoundConstants:
 def image_bound_constants(n: int) -> ImageBoundConstants:
     if n < 1:
         raise ValueError("degree must be >= 1")
+    from fractions import Fraction
+
     c1 = 24 * n**4
     c2 = Fraction(1, 40**3 * n**9)
     base = _image_base(n, c1)
@@ -76,6 +82,8 @@ def image_bound_constants(n: int) -> ImageBoundConstants:
 
 def _image_base(n: int, c1: int) -> Fraction:
     """(100n^2 - 1)/(100n^2 * c1), whose 3/2 power is c's first branch."""
+    from fractions import Fraction
+
     return Fraction(100 * n**2 - 1, 100 * n**2 * c1)
 
 
@@ -438,6 +446,8 @@ def min_q_for_delta(delta: float) -> int:
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
+    from fractions import Fraction
+
     inv = 1 / Fraction(delta)
     q = max(2, int((inv - 1) / 2) + 1)
     while 2 * q + 1 <= inv:

@@ -5,8 +5,9 @@ degree first; bivariate ones are sparse maps (x-degree, y-degree) ->
 coefficient.  Zero coefficients are never stored, so the zero polynomial is
 the empty map and its degree is the -inf sentinel.  Univariate division,
 gcd and Yun's algorithm run on dense coefficient lists, lowest degree
-first, through four private list kernels (division, gcd, derivative,
-difference).
+first, through five private list kernels (division, gcd, derivative,
+difference, and Yun's loop, shared by `squarefree_decomposition` and
+`proper_power_form`).
 
 Two independent routes decide whether a shifted homogeneous polynomial
 h(x, y) - alpha stays irreducible over the algebraic closure:
@@ -23,8 +24,8 @@ h(x, y) - alpha stays irreducible over the algebraic closure:
   form at y = 1).  Q's slices and its line-check terms are read once per
   call and shared by every field searched.  A monomial slice has its roots
   without evaluation; any other root set is found by evaluating the slice
-  at every code of the field that could be a root, never by gcds or
-  factoring: the oracle calls none of `squarefree_decomposition`,
+  at one member of every Frobenius orbit that could hold a root, never by
+  gcds or factoring: the oracle calls none of `squarefree_decomposition`,
   `uni_gcd`, `proper_power_form` or the list kernels.  The few surviving
   candidates are checked term by term on field codes, and quadratic
   candidates (quartics only) one at a time, by division.  Field arithmetic
@@ -36,9 +37,9 @@ h(x, y) - alpha stays irreducible over the algebraic closure:
 from __future__ import annotations
 
 import itertools
-from functools import cache, lru_cache, partial
+from functools import lru_cache
 from math import comb, gcd, inf
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._record import record
 from .errors import (
@@ -287,8 +288,27 @@ class SquarefreeDecomposition:
         return tuple(m for _, m in self.parts)
 
 
+def _yun_dense(f: list[int], p: int) -> Iterator[tuple[list[int], int]]:
+    """Yun's algorithm on a monic f with 1 <= deg f < p, so derivatives stay
+    honest: yields f's nonconstant monic squarefree parts with their
+    multiplicities, lowest multiplicity first."""
+    df = _derivative_dense(f, p)  # nonzero: 1 <= deg f < p
+    g = _gcd_dense(f, df, p)
+    v = _divmod_dense(f, g, p)[0]
+    w = _divmod_dense(df, g, p)[0]
+    i = 1
+    while len(v) > 1:
+        z = _difference_dense(w, _derivative_dense(v, p), p)
+        h = _gcd_dense(v, z, p)
+        if len(h) > 1:
+            yield h, i
+        v = _divmod_dense(v, h, p)[0]
+        w = _divmod_dense(z, h, p)[0]
+        i += 1
+
+
 def squarefree_decomposition(f: UniPoly) -> SquarefreeDecomposition:
-    """Yun's algorithm; valid because deg f < p keeps derivatives honest."""
+    """f = scalar * prod(part^multiplicity) by Yun's algorithm; needs deg f < p."""
     d = f.degree
     if f.is_zero() or d < 1:
         raise ZeroPolynomial("need a nonconstant polynomial")
@@ -297,22 +317,8 @@ def squarefree_decomposition(f: UniPoly) -> SquarefreeDecomposition:
     p = f.p
     scalar = f.lead()
     inv = pow(scalar, -1, p)
-    fm = [c * inv % p for c in f.dense()]
-    parts: list[tuple[UniPoly, int]] = []
-    df = _derivative_dense(fm, p)  # nonzero: 1 <= deg f < p
-    g = _gcd_dense(fm, df, p)
-    v = _divmod_dense(fm, g, p)[0]
-    w = _divmod_dense(df, g, p)[0]
-    i = 1
-    while len(v) > 1:
-        z = _difference_dense(w, _derivative_dense(v, p), p)
-        h = _gcd_dense(v, z, p)
-        if len(h) > 1:
-            parts.append((_from_dense(p, h), i))
-        v = _divmod_dense(v, h, p)[0]
-        w = _divmod_dense(z, h, p)[0]
-        i += 1
-    return SquarefreeDecomposition(p, scalar, tuple(parts))
+    parts = _yun_dense([c * inv % p for c in f.dense()], p)
+    return SquarefreeDecomposition(p, scalar, tuple((_from_dense(p, h), i) for h, i in parts))
 
 
 # ----------------------------------------------------------------------
@@ -671,8 +677,9 @@ def proper_power_form(h: BiPoly) -> PowerForm:
     """Largest m with h = scalar * g(x, y)^m for a homogeneous form g.
 
     Over the closure h splits into linear forms; m is the gcd of their
-    multiplicities, read from a squarefree decomposition of h(t, 1) plus the
-    multiplicity of y (the root at infinity).  Needs deg h < p.
+    multiplicities: the multiplicity of y (the root at infinity) and those
+    Yun's algorithm yields for h(t, 1), stopping once the gcd is 1.  Needs
+    deg h < p.
     """
     flag, n = is_homogeneous(h)
     if not flag:
@@ -681,14 +688,18 @@ def proper_power_form(h: BiPoly) -> PowerForm:
         raise ZeroPolynomial("need degree >= 1")
     if n >= h.p:
         raise DegreeVsCharacteristic(f"degree {n} >= characteristic {h.p}")
-    H = h.subst_y(1)  # h(t, 1): nonzero, degree n - (multiplicity of y in h)
-    y_mult = n - H.degree
-    mults: list[int] = [y_mult] if y_mult else []
-    if H.degree >= 1:
-        mults.extend(squarefree_decomposition(H).multiplicities())
-    m = 0
-    for k in mults:
-        m = gcd(m, k)
+    p, top = h.p, h.deg_x
+    m = n - top  # the multiplicity of y
+    if top:
+        # h(t, 1), made monic: each x^i y^(n-i) gives its coefficient to t^i
+        inv = pow(h.coeffs[(top, n - top)], -1, p)
+        H = [0] * (top + 1)
+        for (i, _), c in h.coeffs.items():
+            H[i] = c * inv % p
+        for _, k in _yun_dense(H, p):
+            m = gcd(m, k)
+            if m == 1:
+                break
     return PowerForm(m >= 2, m)
 
 
@@ -723,37 +734,69 @@ DEFAULT_QUAD_CANDIDATES = 2_000_000
 ROOT_CACHE_SIZE = 4096  # distinct slices; an entry is a few hundred bytes
 
 
+@lru_cache(maxsize=256)  # up to 4 sizes for each of the 64 cached fields
+def _frobenius_orbits(p: int, d: int, budget: int, e: int) -> Sequence[int]:
+    """The smallest log of each orbit of x -> x^p on F_{p^d}* that has e
+    elements, ascending; e divides d.
+
+    Those orbits hold the elements of degree e, which lie in the subfield
+    F_{p^e}: its nonzero elements have the logs k * step, step = (p^d - 1) /
+    (p^e - 1), and x -> x^p maps k to k * p mod (p^e - 1), so only p^e - 1
+    logs are visited.  F_p* (e = 1) is a `range` of singleton orbits.  Keyed
+    like `_slice_roots`.
+    """
+    F = _ext_field_cached(p, d, budget)
+    m_e = p**e - 1
+    step = (F.q - 1) // m_e
+    if e == 1:
+        return range(0, F.q - 1, step)
+    exp, degree = F.exp, F.degree
+    seen = bytearray(m_e)
+    reps = []
+    for k in range(m_e):
+        if not seen[k] and degree[exp[k * step]] == e:
+            reps.append(k * step)
+            j = k
+            for _ in range(e):
+                seen[j] = 1
+                j = j * p % m_e
+    return reps
+
+
 @lru_cache(maxsize=ROOT_CACHE_SIZE)
 def _slice_roots(p: int, d: int, budget: int, coeffs: tuple[int, ...]) -> tuple[int, ...]:
     """Codes of F_{p^d} at which sum_k coeffs[k] x^k vanishes, ascending.
 
-    coeffs are residues mod p, low degree first, the last one nonzero.
-    Horner's rule runs in the log domain: multiplying by x adds log x, and
-    adding a coefficient is one Zech lookup.  Only codes x with `degree[x]`
-    <= deg(slice) are evaluated, as a root's minimal polynomial divides the
-    slice.  The field is looked up by its cache key, so an entry keeps no
-    `ExtField` alive after the field cache evicts it.
+    coeffs are residues mod p, low degree first, the last one nonzero.  The
+    slice's coefficients lie in F_p, so f(x^p) = f(x)^p and its roots are
+    unions of Frobenius orbits: it is evaluated once per orbit, and only on
+    orbits of at most deg(slice) elements, as a root's minimal polynomial
+    divides the slice.  Horner's rule runs in the log domain: multiplying by
+    x adds log x, and adding a coefficient is one Zech lookup.  The field is
+    looked up by its cache key, so an entry keeps no `ExtField` alive after
+    the field cache evicts it.
     """
     F = _ext_field_cached(p, d, budget)
-    log, zech, degree, m = F.log, F.zech, F.degree, F.q - 1
+    exp, log, zech, m = F.exp, F.log, F.zech, F.q - 1
     n = len(coeffs) - 1
     top, rest = log[coeffs[-1]], [log[c] for c in coeffs[-2::-1]]  # log 0 = -1
     roots = [] if coeffs[0] else [0]
-    for x in range(1, F.q):
-        if degree[x] > n:
+    for e in range(1, min(n, d) + 1):
+        if d % e:
             continue
-        lx = log[x]
-        acc = top  # log of the value so far, -1 for 0
-        for lc in rest:
-            if acc < 0:
-                acc = lc
-            else:
-                acc += lx
-                if lc >= 0:
-                    z = zech[(lc - acc) % m]
-                    acc = acc + z if z >= 0 else -1
-        if acc < 0:
-            roots.append(x)
+        for lx in _frobenius_orbits(p, d, budget, e):
+            acc = top  # log of the value so far, -1 for 0
+            for lc in rest:
+                if acc < 0:
+                    acc = lc
+                else:
+                    acc += lx
+                    if lc >= 0:
+                        z = zech[(lc - acc) % m]
+                        acc = acc + z if z >= 0 else -1
+            if acc < 0:  # the whole orbit: logs lx * p^i
+                roots.extend(exp[lx * p**i % m] for i in range(e))
+    roots.sort()
     return tuple(roots)
 
 
@@ -813,7 +856,14 @@ def _line_setup(Q: BiPoly) -> tuple[list[_Slice], _Slice, _Slice, Callable[[], l
             top_slice[i] = c
     slices = [_slice(row) for row in rows.values()]
     slices.sort(key=lambda sl: sl[1] is None)
-    return slices, _slice(x_slice), _slice(top_slice), cache(partial(_line_terms, Q))
+    built: list[list] = []
+
+    def terms() -> list:
+        if not built:
+            built.append(_line_terms(Q))
+        return built[0]
+
+    return slices, _slice(x_slice), _slice(top_slice), terms
 
 
 def _linear_search(lines, F: ExtField) -> bool:
@@ -1002,7 +1052,7 @@ def is_good(P: BiPoly, *, ext_budget: int = EXT_ELEMENT_BUDGET) -> GoodCheck:
         return GoodCheck(False, "not-homogeneous")
     if not abs_irreducible_shift(P, 1, ext_budget=ext_budget):
         return GoodCheck(False, "reducible-shift")
-    if P.coeff_of_y_power(0).is_zero() and P.coeff_of_x_power(0).is_zero():
+    if all(i and j for i, j in P.coeffs):  # x*y divides P: P(x, 0) = P(0, y) = 0
         return GoodCheck(False, "vanishing-axes")
     return GoodCheck(True, None)
 

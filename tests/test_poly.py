@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -530,9 +531,63 @@ def test_factor_oracle_calls_none_of_the_list_kernels(monkeypatch):
         raise AssertionError("factor_oracle must not use the criterion's list kernels")
 
     for name in ("_from_dense", "_divmod_dense", "_gcd_dense", "_derivative_dense",
-                 "_difference_dense"):
+                 "_difference_dense", "_yun_dense"):
         monkeypatch.setattr(poly, name, forbidden)
     assert [factor_oracle(Q, 3) for Q in calls] == expected
+
+
+def _reference_survivors(Q, F, roots_of):
+    """Does F leave the pair check a (b, g) pair?  No common root of Q's
+    x-coefficient rows, and roots of both Q(x, 0) and Q_n(x, 1)."""
+    n = Q.total_degree
+    rows = {}
+    for (i, j), c in Q.coeffs.items():
+        rows.setdefault(i, {})[j] = c
+
+    def dense(coeffs):
+        return tuple(coeffs.get(k, 0) for k in range(max(coeffs) + 1))
+
+    common = set(range(F.q))
+    for row in rows.values():
+        common &= set(roots_of(dense(row), F))
+    x_slice = {i: c for (i, j), c in Q.coeffs.items() if j == 0}
+    top_slice = {i: c for (i, j), c in Q.coeffs.items() if i + j == n}
+    return (not common and bool(roots_of(dense(x_slice), F))
+            and bool(roots_of(dense(top_slice), F)))
+
+
+def test_line_terms_are_built_at_most_once_and_only_for_surviving_pairs(monkeypatch):
+    # every cubic form over F_5 shifted by 1 and 2, and a seeded sample of
+    # cubic and quadratic forms over F_7, searched with d_max 3 (F_25 and
+    # F_125, or F_49 and F_343)
+    memo = {}
+
+    def roots_of(coeffs, F):
+        key = (F.p, F.d, coeffs)
+        if key not in memo:
+            memo[key] = _roots_by_evaluation(coeffs, F)
+        return memo[key]
+
+    rng = random.Random("line-terms")
+    forms = [(5, vec) for vec in itertools.product(range(5), repeat=4) if any(vec)]
+    forms += [(7, tuple(rng.randrange(7) for _ in range(n + 1))) for n in (2, 3) for _ in range(40)]
+    built, searched = [], []
+    real_terms, real_search = poly._line_terms, poly._linear_search
+    monkeypatch.setattr(poly, "_line_terms", lambda Q: built.append(Q) or real_terms(Q))
+    monkeypatch.setattr(poly, "_linear_search",
+                        lambda lines, F: searched.append(F) or real_search(lines, F))
+    seen = set()
+    for p, vec in forms:
+        n = len(vec) - 1
+        h = BiPoly(p, {(n - j, j): c for j, c in enumerate(vec)})
+        for alpha in (1, 2):
+            Q = h.shift_const(alpha)
+            del built[:], searched[:]
+            factor_oracle(Q, 3)
+            want = any(_reference_survivors(Q, F, roots_of) for F in searched)
+            assert len(built) == want, (p, vec, alpha)
+            seen.add(want)
+    assert seen == {False, True}
 
 
 def _roots_by_evaluation(coeffs, F):
@@ -562,6 +617,26 @@ def test_slice_roots_match_evaluation_at_every_code(p, d):
     for coeffs in slices:
         coeffs = coeffs[: max(k for k, a in enumerate(coeffs) if a) + 1]
         assert _slice_roots(p, d, F.budget, coeffs) == _roots_by_evaluation(coeffs, F), coeffs
+
+
+@pytest.mark.parametrize("p, d", [(3, 4), (3, 6), (5, 3), (7, 2), (13, 1)])
+def test_frobenius_orbits_partition_the_field(p, d):
+    # each e | d lists the smallest log of every orbit of x -> x^p with e
+    # elements, ascending; together the orbits cover F* once, and each
+    # holds the elements of degree e
+    F = ext_field(p, d)
+    covered = []
+    for e in range(1, d + 1):
+        if d % e:
+            continue
+        reps = list(poly._frobenius_orbits(p, d, F.budget, e))
+        assert reps == sorted(reps), e
+        for lx in reps:
+            orbit = {F.log[F.pow(F.exp[lx], p**i)] for i in range(d)}
+            assert len(orbit) == e and min(orbit) == lx, (e, lx)
+            assert all(F.degree[F.exp[k]] == e for k in orbit), (e, lx)
+            covered += orbit
+    assert sorted(covered) == list(range(F.q - 1))
 
 
 @pytest.mark.parametrize("p, d", [(3, 2), (5, 2), (5, 3)])
@@ -623,6 +698,60 @@ def test_criterion_matches_oracle_spot_checks():
             crit = abs_irreducible_shift(h, 1)
             orac = not factor_oracle(h.shift_const(1), 3)
             assert crit == orac, (p, text)
+
+
+def _reference_power(h):
+    """(is_power, exponent) from y's multiplicity and the multiplicities of
+    `squarefree_decomposition(h(t, 1))`."""
+    n = h.total_degree
+    H = h.subst_y(1)
+    m = n - H.degree
+    if H.degree >= 1:
+        for k in squarefree_decomposition(H).multiplicities():
+            m = math.gcd(m, k)
+    return m >= 2, m
+
+
+def _reference_good(h):
+    """is_good's (ok, reason) for a form of degree below p, with the axes
+    clause read from the coefficient polynomials of y^0 and x^0."""
+    if _reference_power(h)[0]:
+        return False, "reducible-shift"
+    if h.coeff_of_y_power(0).is_zero() and h.coeff_of_x_power(0).is_zero():
+        return False, "vanishing-axes"
+    return True, None
+
+
+def _check_criterion_parity(h):
+    r = proper_power_form(h)
+    assert (r.is_power, r.exponent) == _reference_power(h), h
+    g = is_good(h)
+    assert (g.ok, g.reason) == _reference_good(h), h
+
+
+@pytest.mark.parametrize("p, degrees", [(5, (1, 2, 3, 4)), (7, (1, 2, 3))])
+def test_criterion_matches_the_squarefree_decomposition_on_every_form(p, degrees):
+    for n in degrees:
+        for vec in itertools.product(range(p), repeat=n + 1):
+            if any(vec):
+                _check_criterion_parity(BiPoly(p, {(n - j, j): c for j, c in enumerate(vec)}))
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_criterion_matches_the_squarefree_decomposition_on_products(data):
+    # scalar * g1^m1 * g2^m2 for forms g1, g2, so proper powers and mixed
+    # multiplicities such as (2, 3) are common
+    p = data.draw(st.sampled_from([11, 13, 101]))
+    h = BiPoly.const(p, data.draw(st.integers(1, p - 1)))
+    for _ in range(2):
+        n = data.draw(st.integers(1, 2))
+        vec = data.draw(st.lists(st.integers(0, p - 1), min_size=n + 1, max_size=n + 1))
+        assume(any(vec))
+        g = BiPoly(p, {(n - j, j): c for j, c in enumerate(vec)})
+        h = h * g.pow_int(data.draw(st.integers(1, 4)))
+    assume(h.total_degree < p)
+    _check_criterion_parity(h)
 
 
 def test_is_good_examples():

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from array import array
+from fractions import Fraction
 
 import pytest
 
@@ -306,6 +307,56 @@ def test_import_and_sweeps_leave_dataclasses_and_inspect_out(tmp_path):
     run = subprocess.run([sys.executable, "-c", _RECORD_PROBE, json.dumps(argvs)],
                          capture_output=True, text=True, check=True)
     assert json.loads(run.stdout.splitlines()[-1]) == [[]] * 7
+
+
+_FRACTIONS_PROBE = """
+import json, sys
+import sumprod, sumprod.cli
+from sumprod.poly import BiPoly, abs_irreducible_shift, factor_oracle, is_good
+def heavy():
+    return sorted({"fractions", "decimal"} & set(sys.modules))
+seen = [heavy()]
+configs, t2_config, out = json.loads(sys.argv[1])
+for cfg in configs:
+    assert sumprod.cli.main(["sweep", "--config", cfg, "--out", out, "--jobs", "1"]) == 0, cfg
+    seen.append(heavy())
+for vec in ((1, 0, 0, 1), (1, 2, 1, 0), (0, 1, 1, 0), (2, 0, 1, 3)):
+    h = BiPoly(5, {(3 - j, j): c for j, c in enumerate(vec)})
+    is_good(h)
+    abs_irreducible_shift(h, 1)
+    for alpha in range(1, 5):
+        factor_oracle(h.shift_const(alpha), 3)
+seen.append(heavy())
+assert sumprod.cli.main(["sweep", "--config", t2_config, "--out", out, "--jobs", "1"]) == 0
+seen.append(heavy())
+print(json.dumps(seen))
+"""
+
+
+def test_import_gv_thmap_and_the_oracle_leave_fractions_out(tmp_path):
+    """`fractions` (which loads `decimal`) is imported only where a Fraction
+    is built: the import, gv and thmap sweeps and the irreducibility checks
+    never load it.  A t2 sweep, last, does, so the probe is live, and its
+    verdicts are still the exact decision lhs^2 > c^2 |G|^3."""
+    configs = [os.path.join(CONFIG_DIR, f"{name}.json") for name in ("gv_small", "thmap_window")]
+    t2_path = tmp_path / "t2.json"
+    t2_path.write_text(json.dumps({
+        "inequality": "t2", "primes": [92921], "orders": [4, 101], "polys": ["x+y", "x^2+y^2"],
+        "seed": 1,
+    }))
+    out = tmp_path / "report.jsonl"
+    run = subprocess.run(
+        [sys.executable, "-c", _FRACTIONS_PROBE, json.dumps([configs, str(t2_path), str(out)])],
+        capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == [[]] * 4 + [["decimal", "fractions"]]
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    met = [r for r in records if r["premise_ok"]]
+    assert met
+    for r in met:
+        n = {"x+y": 1, "x^2+y^2": 2}[r["poly"]]
+        base = Fraction(100 * n**2 - 1, 100 * n**2 * 24 * n**4)
+        c_sq = min(base**3, Fraction(1, 40**3 * n**9) ** 2)
+        assert r["holds"] is (r["lhs"] ** 2 > c_sq * r["order"] ** 3)
 
 
 _NUMPY_PROBE = """
