@@ -11,14 +11,8 @@ import sys
 import time
 
 from sumprod.bounds import verify_shift_overlap_bound
-from sumprod.field import make_prime
+from sumprod.field import is_prime_u64, make_prime
 from sumprod.subgroup import enumerate_subgroups
-
-
-def primes_between(lo, hi):
-    for p in range(max(lo, 3), hi + 1):
-        if all(p % q for q in range(2, int(p**0.5) + 1)):
-            yield p
 
 
 def main():
@@ -30,7 +24,7 @@ def main():
     t0 = time.monotonic()
     worst = (0.0, None)
     met = skipped = violations = 0
-    for p in primes_between(args.lo, args.hi):
+    for p in filter(is_prime_u64, range(max(args.lo, 3), args.hi + 1)):
         prime = make_prime(p)
         for G in enumerate_subgroups(prime):
             for mu in range(1, p):

@@ -14,31 +14,19 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass
 
 from sumprod.bounds import verify_image_lower_bound
-from sumprod.field import make_prime
+from sumprod.field import is_prime_u64, make_prime
 from sumprod.poly import parse_bipoly
 from sumprod.subgroup import subgroup_of_order
-
-
-@dataclass
-class Row:
-    order: int
-    p: int
-    image_size: int
-    ratio: float
-    holds: bool
 
 
 def admitted_prime(d: int):
     p = 9 * d * d + 1
     p += (1 - p) % d
-    while True:
-        try:
-            return make_prime(p)
-        except Exception:
-            p += d
+    while not is_prime_u64(p):
+        p += d
+    return make_prime(p)
 
 
 def main():
@@ -50,29 +38,29 @@ def main():
     if args.lo < 101:
         ap.error("--lo must be at least 101 (degree-1 window needs |G| > 100)")
 
-    rows = []
+    rows = []  # (order, p, image size, ratio, holds)
     t0 = time.monotonic()
     for d in range(args.lo, args.hi + 1):
         prime = admitted_prime(d)
         G = subgroup_of_order(prime, d)
         v = verify_image_lower_bound(parse_bipoly("x+y", prime), G)
         assert v.premise_ok, (d, prime.p)
-        rows.append(Row(d, prime.p, v.lhs, v.ratio, bool(v.holds)))
+        rows.append((d, prime.p, v.lhs, v.ratio, bool(v.holds)))
         if d % 50 == 0:
             print(f"  ... d={d} p={prime.p} ratio={v.ratio:.3f}", file=sys.stderr)
 
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["order", "p", "image_size", "ratio_vs_pow32", "holds"])
-        for r in rows:
-            w.writerow([r.order, r.p, r.image_size, repr(r.ratio), r.holds])
+        for order, p, size, ratio, holds in rows:
+            w.writerow([order, p, size, repr(ratio), holds])
 
-    lo = min(rows, key=lambda r: r.ratio)
-    hi = max(rows, key=lambda r: r.ratio)
+    lo = min(rows, key=lambda r: r[3])
+    hi = max(rows, key=lambda r: r[3])
     print(f"{len(rows)} orders in {time.monotonic() - t0:.1f}s -> {args.out}")
-    print(f"min ratio {lo.ratio:.4f} at d={lo.order} (p={lo.p})")
-    print(f"max ratio {hi.ratio:.4f} at d={hi.order} (p={hi.p})")
-    return 0 if all(r.holds for r in rows) else 2
+    print(f"min ratio {lo[3]:.4f} at d={lo[0]} (p={lo[1]})")
+    print(f"max ratio {hi[3]:.4f} at d={hi[0]} (p={hi[1]})")
+    return 0 if all(r[4] for r in rows) else 2
 
 
 if __name__ == "__main__":

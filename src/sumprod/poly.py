@@ -1,13 +1,13 @@
 """Polynomials over F_p: parsing, structure tests, and irreducibility.
 
-Univariate polynomials are sparse maps degree -> coefficient, highest
-degree first; bivariate ones are sparse maps (x-degree, y-degree) ->
-coefficient.  Zero coefficients are never stored, so the zero polynomial is
-the empty map and its degree is the -inf sentinel.  Univariate division,
-gcd and Yun's algorithm run on dense coefficient lists, lowest degree
-first, through five private list kernels (division, gcd, derivative,
-difference, and Yun's loop, shared by `squarefree_decomposition` and
-`proper_power_form`).
+A univariate polynomial stores its coefficients as a dense tuple of
+residues mod p, lowest degree first, trimmed so the last one is nonzero;
+bivariate ones are sparse maps (x-degree, y-degree) -> coefficient with no
+zero coefficient stored.  Either way the zero polynomial is empty and its
+degree is the -inf sentinel.  Univariate division, gcd and Yun's algorithm
+run directly on that dense layout through five private kernels (division,
+gcd, derivative, difference, and Yun's loop, shared by
+`squarefree_decomposition` and `proper_power_form`).
 
 Two independent routes decide whether a shifted homogeneous polynomial
 h(x, y) - alpha stays irreducible over the algebraic closure:
@@ -37,6 +37,7 @@ h(x, y) - alpha stays irreducible over the algebraic closure:
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from functools import lru_cache
 from math import comb, gcd, inf
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -68,38 +69,22 @@ NEG_INF = -inf
 
 
 class UniPoly:
-    """Sparse univariate polynomial over F_p; `coeffs` holds its nonzero
-    coefficients keyed by degree, highest degree first."""
+    """Univariate polynomial over F_p; `coeffs` holds its coefficients as
+    residues mod p, lowest degree first, trimmed so the last one is nonzero
+    (`()` is the zero polynomial)."""
 
     __slots__ = ("p", "coeffs")
 
-    def __init__(self, p: int, coeffs: Optional[dict[int, int]] = None):
-        self.p = int(p)
-        clean: dict[int, int] = {}
-        if coeffs:
-            for d in sorted(coeffs, reverse=True):
-                c = coeffs[d] % self.p
-                if c:
-                    clean[d] = c
-        self.coeffs = clean
-
-    # construction helpers
-    @classmethod
-    def zero(cls, p: int) -> "UniPoly":
-        return cls(p)
-
-    @classmethod
-    def const(cls, p: int, c: int) -> "UniPoly":
-        return cls(p, {0: c})
-
-    @classmethod
-    def from_list(cls, p: int, low_first: Iterable[int]) -> "UniPoly":
-        return cls(p, {i: c for i, c in enumerate(low_first)})
+    def __init__(self, p: int, coeffs: Iterable[int] = ()):
+        if isinstance(coeffs, Mapping):
+            raise TypeError("UniPoly takes a coefficient sequence, lowest degree first, not a map")
+        self.p = p = int(p)
+        self.coeffs = tuple(_trim([c % p for c in coeffs]))
 
     # basic queries
     @property
     def degree(self):
-        return next(iter(self.coeffs)) if self.coeffs else NEG_INF
+        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -107,13 +92,13 @@ class UniPoly:
     def lead(self) -> int:
         if not self.coeffs:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return next(iter(self.coeffs.values()))
+        return self.coeffs[-1]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.p == other.p and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.p, frozenset(self.coeffs.items())))
+        return hash((self.p, self.coeffs))
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -125,29 +110,25 @@ class UniPoly:
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         self._check(other)
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            out[d] = out.get(d, 0) + c
-        return UniPoly(self.p, out)
+        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return UniPoly(self.p, [u + v for u, v in pairs])
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         self._check(other)
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            out[d] = out.get(d, 0) - c
-        return UniPoly(self.p, out)
+        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return UniPoly(self.p, [u - v for u, v in pairs])
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         self._check(other)
-        out: dict[int, int] = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                k = d1 + d2
-                out[k] = out.get(k, 0) + c1 * c2
+        a, b = self.coeffs, other.coeffs
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                out[i + j] += u * v
         return UniPoly(self.p, out)
 
     def scale(self, c: int) -> "UniPoly":
-        return UniPoly(self.p, {d: v * c for d, v in self.coeffs.items()})
+        return UniPoly(self.p, [v * c for v in self.coeffs])
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
@@ -158,8 +139,8 @@ class UniPoly:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        quo, rem = _divmod_dense(self.dense(), other.dense(), self.p)
-        return _from_dense(self.p, quo), _from_dense(self.p, rem)
+        quo, rem = _divmod_dense(self.coeffs, other.coeffs, self.p)
+        return UniPoly(self.p, quo), UniPoly(self.p, rem)
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
@@ -168,35 +149,21 @@ class UniPoly:
         return self.divmod(other)[0]
 
     def derivative(self) -> "UniPoly":
-        return _from_dense(self.p, _derivative_dense(self.dense(), self.p))
+        return UniPoly(self.p, _derivative_dense(self.coeffs, self.p))
 
     def __call__(self, x: int) -> int:
-        """Horner's rule over the stored degrees; `pow` only bridges gaps > 1."""
-        p = self.p
-        acc = prev = 0
-        for d, c in self.coeffs.items():
-            if acc:  # every stored c is nonzero, so acc > 0 after the top term
-                gap = prev - d
-                acc = acc * (x if gap == 1 else pow(x, gap, p)) % p + c
-            else:
-                acc = c
-            prev = d
-        return acc * pow(x, prev, p) % p
-
-    def dense(self) -> list[int]:
-        """Coefficients low degree first; empty list for the zero polynomial."""
-        if not self.coeffs:
-            return []
-        out = [0] * (next(iter(self.coeffs)) + 1)
-        for d, c in self.coeffs.items():
-            out[d] = c
-        return out
+        """Horner's rule."""
+        p, acc = self.p, 0
+        for c in reversed(self.coeffs):
+            acc = (acc * x + c) % p
+        return acc
 
     def to_text(self, var: str = "x") -> str:
         if not self.coeffs:
             return "0"
         parts = []
-        for d, c in self.coeffs.items():
+        terms = [(d, c) for d, c in enumerate(self.coeffs) if c]
+        for d, c in reversed(terms):
             if d == 0:
                 parts.append(str(c))
             else:
@@ -208,16 +175,9 @@ class UniPoly:
         return f"UniPoly({self.to_text()!r} mod {self.p})"
 
 
-# Dense kernels: coefficient lists low degree first, entries reduced mod p,
-# trimmed so the last entry is nonzero ([] is the zero polynomial).
-
-
-def _from_dense(p: int, a: list[int]) -> UniPoly:
-    """The UniPoly of a trimmed, reduced list; keys go in highest first."""
-    u = UniPoly.__new__(UniPoly)
-    u.p = p
-    u.coeffs = {d: a[d] for d in range(len(a) - 1, -1, -1) if a[d]}
-    return u
+# Dense kernels on UniPoly's layout: coefficients low degree first, reduced
+# mod p, trimmed so the last entry is nonzero (empty is the zero polynomial).
+# They read any such sequence, `UniPoly.coeffs` included, and return lists.
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -226,7 +186,7 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def _divmod_dense(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+def _divmod_dense(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
     """Quotient and remainder of a by a nonzero b."""
     db = len(b) - 1
     if len(a) <= db:
@@ -244,7 +204,7 @@ def _divmod_dense(a: list[int], b: list[int], p: int) -> tuple[list[int], list[i
     return quo, _trim(rem)
 
 
-def _gcd_dense(a: list[int], b: list[int], p: int) -> list[int]:
+def _gcd_dense(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     """Monic gcd of a and b, not both zero."""
     while b:
         a, b = b, _divmod_dense(a, b, p)[1]
@@ -252,7 +212,7 @@ def _gcd_dense(a: list[int], b: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
-def _derivative_dense(a: list[int], p: int) -> list[int]:
+def _derivative_dense(a: Sequence[int], p: int) -> list[int]:
     return _trim([d * a[d] % p for d in range(1, len(a))])
 
 
@@ -266,7 +226,7 @@ def uni_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
         raise ZeroPolynomial("gcd of two zero polynomials")
     if f.p != g.p:
         raise ValueError("mixed moduli")
-    return _from_dense(f.p, _gcd_dense(f.dense(), g.dense(), f.p))
+    return UniPoly(f.p, _gcd_dense(f.coeffs, g.coeffs, f.p))
 
 
 @record
@@ -278,7 +238,7 @@ class SquarefreeDecomposition:
     parts: tuple[tuple[UniPoly, int], ...]
 
     def reconstruct(self) -> UniPoly:
-        acc = UniPoly.const(self.p, self.scalar)
+        acc = UniPoly(self.p, (self.scalar,))
         for f, m in self.parts:
             for _ in range(m):
                 acc = acc * f
@@ -317,8 +277,8 @@ def squarefree_decomposition(f: UniPoly) -> SquarefreeDecomposition:
     p = f.p
     scalar = f.lead()
     inv = pow(scalar, -1, p)
-    parts = _yun_dense([c * inv % p for c in f.dense()], p)
-    return SquarefreeDecomposition(p, scalar, tuple((_from_dense(p, h), i) for h, i in parts))
+    parts = _yun_dense([c * inv % p for c in f.coeffs], p)
+    return SquarefreeDecomposition(p, scalar, tuple((UniPoly(p, h), i) for h, i in parts))
 
 
 # ----------------------------------------------------------------------
@@ -457,31 +417,31 @@ class BiPoly:
             acc = (acc + c * pow(a, i, p) * pow(b, j, p)) % p
         return acc
 
+    def _gather(self, var: int, terms: Iterable[tuple[int, int]]) -> UniPoly:
+        """sum c * t^k over terms (k, c), each k a degree of P in x (var 0)
+        or y (var 1), as a univariate in t."""
+        out = [0] * (self._degrees()[var] + 1) if self.coeffs else []
+        for k, c in terms:
+            out[k] += c
+        return UniPoly(self.p, out)
+
     def subst_y(self, y0: int) -> UniPoly:
         """P(x, y0) as a univariate in x."""
         p = self.p
-        out: dict[int, int] = {}
-        for (i, j), c in self.coeffs.items():
-            v = c * pow(y0, j, p) % p
-            out[i] = (out.get(i, 0) + v) % p
-        return UniPoly(p, out)
+        return self._gather(0, ((i, c * pow(y0, j, p)) for (i, j), c in self.coeffs.items()))
 
     def subst_x(self, x0: int) -> UniPoly:
         """P(x0, y) as a univariate in y."""
         p = self.p
-        out: dict[int, int] = {}
-        for (i, j), c in self.coeffs.items():
-            v = c * pow(x0, i, p) % p
-            out[j] = (out.get(j, 0) + v) % p
-        return UniPoly(p, out)
+        return self._gather(1, ((j, c * pow(x0, i, p)) for (i, j), c in self.coeffs.items()))
 
     def coeff_of_x_power(self, i0: int) -> UniPoly:
         """The coefficient of x^i0, a univariate in y."""
-        return UniPoly(self.p, {j: c for (i, j), c in self.coeffs.items() if i == i0})
+        return self._gather(1, ((j, c) for (i, j), c in self.coeffs.items() if i == i0))
 
     def coeff_of_y_power(self, j0: int) -> UniPoly:
         """The coefficient of y^j0, a univariate in x."""
-        return UniPoly(self.p, {i: c for (i, j), c in self.coeffs.items() if j == j0})
+        return self._gather(0, ((i, c) for (i, j), c in self.coeffs.items() if j == j0))
 
     def homogeneity(self) -> tuple[bool, Optional[int]]:
         """(True, total degree) if every monomial has the same total degree."""
@@ -867,7 +827,27 @@ def _line_setup(Q: BiPoly) -> tuple[list[_Slice], _Slice, _Slice, Callable[[], l
 
 
 def _linear_search(lines, F: ExtField) -> bool:
-    """`_linear_factor_exists` over F, given Q's `_line_setup`."""
+    """Any total-degree-1 divisor of Q with coefficients in F, given Q's
+    `_line_setup`?
+
+    Candidates are normalized: y - c, or x - (b*y + g).  Each family is
+    filtered by the root sets of one-variable slices of Q, read from
+    `_slice_roots`:
+
+    * y - c divides Q iff c is a common root of every nonzero x-coefficient
+      row sum_j c_ij y^j, so the common roots settle this family;
+    * x - (b*y + g) divides Q iff Q(b*y + g, y) = 0.  Its y^0 coefficient
+      is Q(g, 0) and its y^n coefficient is Q_n(b, 1), Q_n the top form of
+      Q, so g must be a root of Q(x, 0) and b a root of Q_n(x, 1), and then
+      both coefficients vanish.  Each surviving pair (b, g) is checked on
+      the others term by term: c_ij binom(i, k) b^k g^(i-k) goes into the
+      y^(j+k) coefficient, multiplied in the log domain and added through
+      the Zech table, and the pair is a divisor when every coefficient
+      vanishes.
+
+    Q(x, 0) is nonzero here: divisibility by y is handled by the caller.
+    `factor_oracle` runs `_line_setup` once per Q and this once per field.
+    """
     rows, x_slice, top_slice, terms = lines
     common: Optional[set[int]] = None
     for row in rows:
@@ -904,36 +884,8 @@ def _linear_search(lines, F: ExtField) -> bool:
     return False
 
 
-def _linear_factor_exists(Q: BiPoly, F: ExtField) -> bool:
-    """Any total-degree-1 divisor of Q with coefficients in F?
-
-    Candidates are normalized: y - c, or x - (b*y + g).  Each family is
-    filtered by the root sets of one-variable slices of Q, read from
-    `_slice_roots`:
-
-    * y - c divides Q iff c is a common root of every nonzero x-coefficient
-      row sum_j c_ij y^j, so the common roots settle this family;
-    * x - (b*y + g) divides Q iff Q(b*y + g, y) = 0.  Its y^0 coefficient
-      is Q(g, 0) and its y^n coefficient is Q_n(b, 1), Q_n the top form of
-      Q, so g must be a root of Q(x, 0) and b a root of Q_n(x, 1), and then
-      both coefficients vanish.  Each surviving pair (b, g) is checked on
-      the others term by term: c_ij binom(i, k) b^k g^(i-k) goes into the
-      y^(j+k) coefficient, multiplied in the log domain and added through
-      the Zech table, and the pair is a divisor when every coefficient
-      vanishes.
-
-    Q(x, 0) is nonzero here: divisibility by y is handled by the caller.
-    `factor_oracle` runs `_line_setup` once per Q and `_linear_search`
-    once per field.
-    """
-    return _linear_search(_line_setup(Q), F)
-
-
-_GLEX_LEADS = (
-    ((2, 0), lambda i, j: i >= 2),
-    ((1, 1), lambda i, j: i >= 1 and j >= 1),
-    ((0, 2), lambda i, j: j >= 2),
-)
+# graded-lex lead monomials of a normalized quadratic divisor, in order
+_GLEX_LEADS = ((2, 0), (1, 1), (0, 2))
 
 
 def _divides_bivariate(Q: dict[tuple[int, int], int], R: dict[tuple[int, int], int], lead: tuple[int, int], F: ExtField) -> bool:
@@ -965,9 +917,8 @@ def _quadratic_factor_exists(Q: BiPoly, F: ExtField, max_candidates: int) -> boo
             f"quadratic factor enumeration needs {total} candidates (cap {max_candidates})"
         )
     Qc = dict(Q.coeffs)
-    for lead_idx, (lead, _) in enumerate(_GLEX_LEADS):
-        free = [pos for k, (pos, _) in enumerate(_GLEX_LEADS) if k > lead_idx]
-        free += [(1, 0), (0, 1), (0, 0)]
+    for lead_idx, lead in enumerate(_GLEX_LEADS):
+        free = [*_GLEX_LEADS[lead_idx + 1 :], (1, 0), (0, 1), (0, 0)]
         for values in itertools.product(range(q), repeat=len(free)):
             R = {lead: 1}
             for pos, v in zip(free, values):

@@ -274,7 +274,7 @@ def _walk_fiber(fs: Sequence[UniPoly], cosets: Sequence[Coset], p: int) -> list[
     for i in linear:
         inv = pow(fs[i].coeffs[1], -1, p)
         s = cosets[i].member * inv % p  # (r*g - b) * a^-1 = s*g - t
-        t = fs[i].coeffs.get(0, 0) * inv % p
+        t = fs[i].coeffs[0] * inv % p
         preimages.append({(s * g - t) % p for g in cosets[i].subgroup.elements})
     fiber = set.intersection(*preimages)
     rest = [(fs[j], cosets[j]) for j in range(len(fs)) if j not in linear]
@@ -288,15 +288,14 @@ def _scan_fiber(fs: Sequence[UniPoly], cosets: Sequence[Coset], p: int) -> list[
     import numpy as np
 
     dtype = _dtype(p)
-    dense = [f.dense() for f in fs]
     member_arrs = [np.asarray(c.members, dtype=dtype) for c in cosets]
     hits: list[np.ndarray] = []
     for start in range(0, p, _CHUNK):
         xs = np.arange(start, min(start + _CHUNK, p), dtype=dtype)
         mask = np.ones(len(xs), dtype=bool)
-        for coeffs, members in zip(dense, member_arrs):
+        for f, members in zip(fs, member_arrs):
             vals = np.zeros_like(xs)
-            for c in reversed(coeffs):
+            for c in reversed(f.coeffs):
                 vals = (vals * xs + c) % p
             idx = np.searchsorted(members, vals)
             idx = np.minimum(idx, len(members) - 1)

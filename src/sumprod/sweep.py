@@ -54,7 +54,7 @@ from .bounds import (
     verify_shift_overlap_bound,
 )
 from .errors import BudgetExceeded, ConfigError, DegreeOverflow, ParseError, WorkbenchError
-from .field import EXT_ELEMENT_BUDGET, Prime, divisors, is_prime_u64, make_prime
+from .field import EXT_ELEMENT_BUDGET, MAX_PRIME, Prime, divisors, is_prime_u64, make_prime
 from .poly import UniPoly, is_required, parse_bipoly
 from .setops import DEFAULT_MAX_PAIRS, shift_histogram, value_set
 from .subgroup import Subgroup, coset_of, in_admitted_window, subgroup_of_order
@@ -141,18 +141,20 @@ class SweepConfig:
             start, stop = primes_raw.get("start"), primes_raw.get("stop")
             if not (_is_int(start) and _is_int(stop)):
                 raise ConfigError(f"primes: need integer start/stop, got {start!r}/{stop!r}")
-            if not 3 <= start <= stop:
-                raise ConfigError("primes: need 3 <= start <= stop")
+            if not 3 <= start <= stop <= MAX_PRIME:
+                raise ConfigError("primes: need 3 <= start <= stop < 2^64")
             primes = tuple(n for n in range(start | 1, stop + 1, 2) if is_prime_u64(n))
         elif isinstance(primes_raw, list) and primes_raw:
             primes = []
             for i, v in enumerate(primes_raw):
-                if not _is_int(v) or not is_prime_u64(v) or v < 3:
-                    raise ConfigError(f"primes[{i}]: {v!r} is not an odd prime")
+                if not _is_int(v) or not 3 <= v <= MAX_PRIME or not is_prime_u64(v):
+                    raise ConfigError(f"primes[{i}]: {v!r} is not an odd prime below 2^64")
                 primes.append(v)
             primes = tuple(sorted(set(primes)))
         else:
             raise ConfigError("primes: need {start, stop} or a nonempty list")
+        if kind == "gv" and primes and primes[-1] > 2**63:  # len(range(1, p)) is a C ssize_t
+            raise ConfigError(f"primes: gv sweeps need primes below 2^63, got {primes[-1]}")
 
         orders_raw = data.get("orders", "all")
         if orders_raw == "all":
@@ -440,7 +442,7 @@ def _univariates(text: str, prime: Prime) -> list[UniPoly]:
         Q = parse_bipoly(part, prime)
         if Q.deg_y > 0:
             raise WorkbenchError(f"--fs entries must use only x: {part!r}")
-        fs.append(UniPoly(prime.p, {i: c for (i, _), c in Q.coeffs.items()}))
+        fs.append(Q.coeff_of_y_power(0))
     return fs
 
 

@@ -228,7 +228,7 @@ def test_a7_fiber_bound_window():
                 a, b = rng.sample(range(1, p), 2)
                 from sumprod.poly import UniPoly
 
-                fs = [UniPoly.from_list(p, [a, 1]), UniPoly.from_list(p, [b, 1])]
+                fs = [UniPoly(p, [a, 1]), UniPoly(p, [b, 1])]
                 cosets = [coset_of(rng.choice(reps), G) for _ in range(2)]
                 v = verify_fiber_bound(fs, cosets, G)
                 assert v.premise_ok, (p, d, a, b)

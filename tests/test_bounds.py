@@ -125,7 +125,7 @@ def test_thmap_holds_at_the_exact_bound_of_a_cube_order(monkeypatch):
     # 2/3 as a float, so at |G| = 5^3 the float rhs lands below 48 * 5^2
     prime = smallest_admitted_prime(125)
     G = subgroup_of_order(prime, 125)
-    fs = [UniPoly(prime.p, {0: c, 1: 1}) for c in (1, 2, 3)]
+    fs = [UniPoly(prime.p, [c, 1]) for c in (1, 2, 3)]
     cosets = [coset_of(r, G) for r in (1, 2, 3)]
     monkeypatch.setattr(bounds, "fiber_set", lambda *a, **k: range(48 * 25))
     v = verify_fiber_bound(fs, cosets, G)
@@ -229,8 +229,8 @@ def test_shift_overlap_exhaustive_tiny():
 
 
 def test_fiber_bound_small_group():
-    f1 = UniPoly.from_list(13, [1, 1])
-    f2 = UniPoly.from_list(13, [12, 1])
+    f1 = UniPoly(13, [1, 1])
+    f2 = UniPoly(13, [12, 1])
     c = coset_of(1, G3)
     v = verify_fiber_bound([f1, f2], [c, c], G3)
     assert v.inequality == "thmap"
@@ -239,7 +239,7 @@ def test_fiber_bound_small_group():
 
 
 def test_fiber_bound_not_permissible():
-    f1 = UniPoly.from_list(13, [1, 1])
+    f1 = UniPoly(13, [1, 1])
     c = coset_of(1, G3)
     v = verify_fiber_bound([f1, f1], [c, c], G3)
     assert not v.premise_ok
@@ -248,8 +248,8 @@ def test_fiber_bound_not_permissible():
 
 
 def test_fiber_bound_rejects_cosets_of_other_subgroups():
-    f1 = UniPoly.from_list(13, [1, 1])
-    f2 = UniPoly.from_list(13, [12, 1])
+    f1 = UniPoly(13, [1, 1])
+    f2 = UniPoly(13, [12, 1])
     G4, G6 = subgroup_of_order(P13, 4), subgroup_of_order(P13, 6)
     G3_at_7 = subgroup_of_order(make_prime(7), 3)
     for other in (coset_of(2, G4), coset_of(1, G6), coset_of(2, G3_at_7)):
@@ -265,7 +265,7 @@ def test_fiber_bound_rejects_cosets_of_other_subgroups():
 
 def test_fiber_bound_scan_budget():
     # a family with no linear member is scanned over F_p, under max_pairs
-    fs = [UniPoly.from_list(13, [1, 0, 1]), UniPoly.from_list(13, [2, 0, 1])]
+    fs = [UniPoly(13, [1, 0, 1]), UniPoly(13, [2, 0, 1])]
     c = coset_of(1, G3)
     with pytest.raises(SizeBudget):
         verify_fiber_bound(fs, [c, c], G3, max_pairs=12)
@@ -305,9 +305,9 @@ def test_fiber_bound_upper_window_is_exact(m, orders):
             roots = iter(range(1, 2 * sum(m), 2))
             fs = []
             for mi in m:
-                f = UniPoly.from_list(p, [1])
+                f = UniPoly(p, [1])
                 for _ in range(mi):
-                    f = f * UniPoly.from_list(p, [next(roots), 1])
+                    f = f * UniPoly(p, [next(roots), 1])
                 fs.append(f)
             v = verify_fiber_bound(fs, [coset_of(1, G)] * n, G)
             inside = lhs < p ** (2 * n)

@@ -19,7 +19,8 @@ from sumprod.field import ext_field, make_prime
 from sumprod.poly import (
     BiPoly,
     UniPoly,
-    _linear_factor_exists,
+    _line_setup,
+    _linear_search,
     _slice_roots,
     abs_irreducible_shift,
     factor_oracle,
@@ -128,16 +129,19 @@ def test_eval_examples():
 def test_unipoly_call_matches_one_pow_per_term(p):
     # Horner against the sum of c * x^d, on dense and sparse polynomials
     rng = random.Random(f"unipoly-call|{p}")
-    polys = [UniPoly(p, {}), UniPoly(p, {0: 5}), UniPoly(p, {7: 1})]
+    polys = [UniPoly(p), UniPoly(p, [5]), UniPoly(p, [0] * 7 + [1])]
     for _ in range(40):
         top = rng.randint(0, 12)
         if rng.random() < 0.5:  # dense
-            polys.append(UniPoly(p, {d: rng.randrange(p) for d in range(top + 1)}))
+            polys.append(UniPoly(p, [rng.randrange(p) for _ in range(top + 1)]))
         else:  # a few terms with gaps
-            polys.append(UniPoly(p, {rng.randint(0, top): rng.randrange(-p, p) for _ in range(3)}))
+            coeffs = [0] * (top + 1)
+            for _ in range(3):
+                coeffs[rng.randint(0, top)] = rng.randrange(-p, p)
+            polys.append(UniPoly(p, coeffs))
     for f in polys:
         for x in (0, 1, p - 1, -1, -p - 2, rng.randrange(p), -rng.randrange(p)):
-            assert f(x) == sum(c * pow(x, d, p) for d, c in f.coeffs.items()) % p, (f, x)
+            assert f(x) == sum(c * pow(x, d, p) for d, c in enumerate(f.coeffs)) % p, (f, x)
 
 
 # --- homogeneity / required ------------------------------------------------
@@ -179,11 +183,11 @@ def test_single_variable_factor_never_required(p, a, deg):
 
 
 def test_uni_gcd_examples():
-    f = UniPoly.from_list(13, [12, 0, 1])  # x^2 - 1
-    g = UniPoly.from_list(13, [12, 1])  # x - 1
-    assert uni_gcd(f, g).coeffs == {0: 12, 1: 1}
-    assert uni_gcd(UniPoly.from_list(13, [1, 1]), UniPoly.from_list(13, [2, 1])).degree == 0
-    h = UniPoly.from_list(13, [1, 0, 1])
+    f = UniPoly(13, [12, 0, 1])  # x^2 - 1
+    g = UniPoly(13, [12, 1])  # x - 1
+    assert uni_gcd(f, g).coeffs == (12, 1)
+    assert uni_gcd(UniPoly(13, [1, 1]), UniPoly(13, [2, 1])).degree == 0
+    h = UniPoly(13, [1, 0, 1])
     assert uni_gcd(h, h).coeffs == h.coeffs
 
 
@@ -192,7 +196,7 @@ def random_unipoly(draw, p, max_deg=5, nonzero=False):
     deg = draw(st.integers(min_value=1 if nonzero else 0, max_value=max_deg))
     coeffs = [draw(st.integers(min_value=0, max_value=p - 1)) for _ in range(deg)]
     coeffs.append(draw(st.integers(min_value=1, max_value=p - 1)))
-    return UniPoly.from_list(p, coeffs)
+    return UniPoly(p, coeffs)
 
 
 @settings(max_examples=200)
@@ -221,7 +225,7 @@ def test_divmod_invariant(data):
 
 def test_squarefree_examples():
     # (x-1)^2 (x-2) over F_13
-    f = UniPoly.from_list(13, [12, 1]) * UniPoly.from_list(13, [12, 1]) * UniPoly.from_list(
+    f = UniPoly(13, [12, 1]) * UniPoly(13, [12, 1]) * UniPoly(
         13, [11, 1]
     )
     dec = squarefree_decomposition(f)
@@ -229,21 +233,21 @@ def test_squarefree_examples():
     assert parts == [("x+11", 1), ("x+12", 2)]
     assert dec.reconstruct().coeffs == f.coeffs
 
-    g = UniPoly.from_list(13, [1, 0, 1])  # x^2+1: roots 5, 8 both simple
+    g = UniPoly(13, [1, 0, 1])  # x^2+1: roots 5, 8 both simple
     dec = squarefree_decomposition(g)
     assert [(part.to_text(), m) for part, m in dec.parts] == [("x^2+1", 1)]
 
-    h = UniPoly.from_list(13, [0, 0, 1])  # x^2
+    h = UniPoly(13, [0, 0, 1])  # x^2
     dec = squarefree_decomposition(h)
     assert [(part.to_text(), m) for part, m in dec.parts] == [("x", 2)]
 
 
 def test_squarefree_degree_vs_characteristic():
-    f = UniPoly(5, {5: 1, 0: 4})  # x^5 - 1 over F_5 = (x-1)^5
+    f = UniPoly(5, [4, 0, 0, 0, 0, 1])  # x^5 - 1 over F_5 = (x-1)^5
     with pytest.raises(DegreeVsCharacteristic):
         squarefree_decomposition(f)
     with pytest.raises(ZeroPolynomial):
-        squarefree_decomposition(UniPoly.zero(5))
+        squarefree_decomposition(UniPoly(5))
 
 
 @settings(max_examples=150)
@@ -262,21 +266,41 @@ def test_squarefree_reconstructs(data):
         assert uni_gcd(part, part.derivative()).degree == 0  # squarefree
 
 
+def test_unipoly_constructor_reduces_and_trims():
+    assert UniPoly(13, [15, -1, 26, 0]).coeffs == (2, 12)
+    assert UniPoly(13, (13, 0, -26)).coeffs == ()
+    assert UniPoly(13, iter([1, 2])).coeffs == (1, 2)
+    assert UniPoly(13).coeffs == () and UniPoly(13).degree == poly.NEG_INF
+    assert UniPoly(13, [0, 0, 3]).degree == 2 and UniPoly(13, [0, 0, 3]).lead() == 3
+    assert UniPoly(13, [1, 2]) == UniPoly(13, [14, 15, 13])
+    assert hash(UniPoly(13, [1, 2])) == hash(UniPoly(13, [14, 15, 13]))
+    for old in ({0: 1, 1: 1}, {}):  # the old {degree: c} form
+        with pytest.raises(TypeError):
+            UniPoly(13, old)
+
+
 @settings(max_examples=200)
 @given(data=st.data())
-def test_every_unipoly_result_stores_keys_highest_first(data):
-    # degree and lead read the first key, so a result whose keys were
-    # written lowest degree first would answer wrongly without raising
+def test_every_unipoly_result_is_a_trimmed_residue_tuple(data):
+    # degree and lead read the length and the last entry, so a result with
+    # a zero on top or an unreduced entry would answer wrongly without raising
     p = data.draw(st.sampled_from([5, 13, 101]))
     f = data.draw(random_unipoly(p))
     g = data.draw(random_unipoly(p, nonzero=True))
     results = [*f.divmod(g), f % g, f // g, uni_gcd(f, g), g.monic(), f.derivative(),
-               f + g, f - g, f * g]
+               f + g, f - g, f * g, g - g, g.scale(p)]
     for s in (g, f * g * g):
         if 1 <= s.degree < p:
             results += [part for part, _ in squarefree_decomposition(s).parts]
+    P = data.draw(random_bipoly())  # over a prime of its own
+    a = data.draw(st.integers(min_value=-P.p, max_value=2 * P.p))
+    results += [P.subst_x(a), P.subst_y(a)]
+    results += [P.coeff_of_x_power(k) for k in range(-1, 5)]
+    results += [P.coeff_of_y_power(k) for k in range(-1, 5)]
     for u in results:
-        assert list(u.coeffs) == sorted(u.coeffs, reverse=True), u
+        assert type(u.coeffs) is tuple, u
+        assert all(0 <= c < u.p for c in u.coeffs), u
+        assert not u.coeffs or u.coeffs[-1], u
 
 
 # --- the irreducibility machinery -------------------------------------------
@@ -327,7 +351,7 @@ def test_factor_oracle_quartic_needs_quadratic_search():
     # (x^2+y^2)^2 - 1 = (x^2+y^2-1)(x^2+y^2+1): two smooth conics, so no
     # linear divisor exists and only the quadratic search can find a factor
     Q = parse_bipoly("(x^2+y^2)^2-1", P3)
-    assert not any(_linear_factor_exists(Q, ext_field(3, d)) for d in (1, 2))
+    assert not any(_linear_search(_line_setup(Q), ext_field(3, d)) for d in (1, 2))
     assert factor_oracle(Q, 2) is True
 
 
@@ -429,7 +453,7 @@ def test_linear_factor_search_matches_scalar_reference(case):
     assume(not all(j >= 1 for _, j in Q.coeffs))  # y | Q is settled by the caller
     assume(not all(i >= 1 for i, _ in Q.coeffs))  # x | Q likewise
     F = ext_field(p, d)
-    assert _linear_factor_exists(Q, F) == _ref_linear_factor_exists(Q, F)
+    assert _linear_search(_line_setup(Q), F) == _ref_linear_factor_exists(Q, F)
 
 
 def test_linear_factor_search_near_element_budget():
@@ -451,8 +475,8 @@ def test_linear_factor_search_products_exceed_32_bits():
     r = next(s for s in range(p - 1, 1, -1) if pow(s, (p - 1) // 2, p) == 1)
     nr = next(s for s in range(p - 1, 1, -1) if pow(s, (p - 1) // 2, p) == p - 1)
     F = ext_field(p, 1)
-    assert _linear_factor_exists(BiPoly(p, {(2, 0): a, (0, 2): -a * r}), F) is True
-    assert _linear_factor_exists(BiPoly(p, {(2, 0): a, (0, 2): -a * nr}), F) is False
+    assert _linear_search(_line_setup(BiPoly(p, {(2, 0): a, (0, 2): -a * r})), F) is True
+    assert _linear_search(_line_setup(BiPoly(p, {(2, 0): a, (0, 2): -a * nr})), F) is False
 
 
 @settings(max_examples=60, deadline=None)
@@ -504,7 +528,7 @@ def test_linear_factor_search_with_zero_parts_matches_reference(p):
             continue
         for d in (1, 2, 3):
             F = ext_field(p, d)
-            assert _linear_factor_exists(Q, F) == _ref_linear_factor_exists(Q, F), (Q, d)
+            assert _linear_search(_line_setup(Q), F) == _ref_linear_factor_exists(Q, F), (Q, d)
 
 
 def test_factor_oracle_calls_none_of_the_criterion_helpers(monkeypatch):
@@ -530,8 +554,8 @@ def test_factor_oracle_calls_none_of_the_list_kernels(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("factor_oracle must not use the criterion's list kernels")
 
-    for name in ("_from_dense", "_divmod_dense", "_gcd_dense", "_derivative_dense",
-                 "_difference_dense", "_yun_dense"):
+    for name in ("_divmod_dense", "_gcd_dense", "_derivative_dense", "_difference_dense",
+                 "_yun_dense"):
         monkeypatch.setattr(poly, name, forbidden)
     assert [factor_oracle(Q, 3) for Q in calls] == expected
 
@@ -771,12 +795,12 @@ def test_is_good_needs_only_one_axis():
 
 
 def test_is_permissible_examples():
-    f1 = UniPoly.from_list(13, [1, 1])
-    f2 = UniPoly.from_list(13, [2, 1])
+    f1 = UniPoly(13, [1, 1])
+    f2 = UniPoly(13, [2, 1])
     assert is_permissible([f1, f2]).ok
     r = is_permissible([f1, f1])
     assert not r.ok and all("private" in why for _, why in r.failures)
-    r = is_permissible([UniPoly.from_list(13, [0, 1]), f1])
+    r = is_permissible([UniPoly(13, [0, 1]), f1])
     assert not r.ok and r.failures[0][0] == 0
     # a shared root hidden inside a square: (x+1)^2 vs (x+1)(x+2)
     sq = f1 * f1

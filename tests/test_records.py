@@ -13,7 +13,7 @@ from sumprod.errors import CompositeInput, ZeroValue
 P13 = field.Prime(13)
 G3 = subgroup.subgroup_of_order(P13, 3)
 G4 = subgroup.subgroup_of_order(P13, 4)
-UNI = poly.UniPoly(13, {1: 1, 0: 2})
+UNI = poly.UniPoly(13, [2, 1])
 
 # class, field names in order, two argument tuples that differ in one field
 CASES = [

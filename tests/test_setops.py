@@ -219,12 +219,12 @@ def test_shift_intersection_at_a_prime_past_2_32():
 
 
 def test_fiber_examples():
-    f1 = UniPoly.from_list(13, [1, 1])  # x + 1
+    f1 = UniPoly(13, [1, 1])  # x + 1
     c = coset_of(1, G3)
     assert fiber_set([f1], [c]).members == (0, 2, 8)
-    f2 = UniPoly.from_list(13, [12, 1])  # x + 12 = x - 1
+    f2 = UniPoly(13, [12, 1])  # x + 12 = x - 1
     assert fiber_set([f1, f2], [c, c]).members == (2,)
-    fx = UniPoly.from_list(13, [0, 1])
+    fx = UniPoly(13, [0, 1])
     assert fiber_set([fx], [c]).members == G3.elements
     with pytest.raises(LengthMismatch):
         fiber_set([f1, f2], [c])
@@ -240,7 +240,7 @@ def test_fiber_matches_shifted_intersections(data):
     divs = [d for d in (3, 5, 6) if (p - 1) % d == 0]
     G = subgroup_of_order(prime, data.draw(st.sampled_from(divs)))
     shifts = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3))
-    fs = [UniPoly.from_list(p, [a, 1]) for a in shifts]
+    fs = [UniPoly(p, [a, 1]) for a in shifts]
     c = coset_of(1, G)
     got = set(fiber_set(fs, [c] * len(fs)).members)
     expect = set(range(p))
@@ -252,7 +252,7 @@ def test_fiber_matches_shifted_intersections(data):
 def _random_member(rng, p, degree):
     """A random polynomial of exactly the given degree (0, 1 or 2) over F_p."""
     coeffs = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
-    return UniPoly.from_list(p, coeffs)
+    return UniPoly(p, coeffs)
 
 
 def _brute_fiber(fs, cosets, p):
@@ -321,7 +321,7 @@ def test_fiber_walk_above_2_31_matches_a_nested_loop(p, d):
         k = fs.index(f1)
         expect = set()
         for c in explicit[k]:  # the nested loop: preimages of f1's coset x every member
-            x = (c - f1.coeffs.get(0, 0)) * inv % p
+            x = (c - f1.coeffs[0]) * inv % p
             assert f1(x) == c
             if all(f(x) in e for f, e in zip(fs, explicit)):
                 expect.add(x)
@@ -330,7 +330,7 @@ def test_fiber_walk_above_2_31_matches_a_nested_loop(p, d):
     assert len(fiber_set(*cases[1]).members) == d
     assert x0 in fiber_set(*cases[2]).members
     if d == 190:  # small enough for a loop over both cosets' pairs
-        b1, b4 = f1.coeffs.get(0, 0), f4.coeffs.get(0, 0)
+        b1, b4 = f1.coeffs[0], f4.coeffs[0]
         inv4 = pow(f4.coeffs[1], p - 2, p)
         explicit4 = _explicit_coset(c4.representative, G)
         pairs = set()
@@ -344,7 +344,7 @@ def test_fiber_walk_above_2_31_matches_a_nested_loop(p, d):
 def test_fiber_scan_counts_against_the_budget():
     p = 31
     G = subgroup_of_order(make_prime(p), 5)
-    quad = [UniPoly.from_list(p, [1, 0, 1]), UniPoly.from_list(p, [3, 2, 1])]
+    quad = [UniPoly(p, [1, 0, 1]), UniPoly(p, [3, 2, 1])]
     cosets = [coset_of(1, G), coset_of(3, G)]
     with pytest.raises(SizeBudget, match="scan of 31 points exceeds budget 30"):
         fiber_set(quad, cosets, max_pairs=p - 1)
@@ -352,7 +352,7 @@ def test_fiber_scan_counts_against_the_budget():
     # a family with a linear member walks its cosets and never scans
     big = 2**32 + 15
     G = subgroup_of_order(make_prime(big), 11790)
-    fs = [UniPoly.from_list(big, [5, 1]), UniPoly.from_list(big, [1, 0, 1])]
+    fs = [UniPoly(big, [5, 1]), UniPoly(big, [1, 0, 1])]
     cosets = [coset_of(7, G), coset_of(11, G)]
     fiber_set(fs, cosets, max_pairs=1)
     with pytest.raises(SizeBudget):

@@ -687,6 +687,35 @@ def test_cli_bad_config_exit_1(tmp_path, capsys):
     assert "primes[0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "primes, want",
+    [
+        ([2**64 + 13], "primes[0]: 18446744073709551629 is not an odd prime"),  # prime
+        ({"start": 2**64 - 100, "stop": 2**64 + 100}, "primes: need 3 <= start <= stop < 2^64"),
+    ],
+)
+def test_cli_primes_past_2_64_exit_1_no_output(tmp_path, capsys, primes, want):
+    cfg_path = tmp_path / "big.json"
+    cfg_path.write_text(json.dumps(
+        {"inequality": "t2", "primes": primes, "orders": [2], "polys": ["x+y"]}
+    ))
+    out_path = tmp_path / "out.jsonl"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out_path)]) == 1
+    assert want in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("params", [{}, {"mu_sample": 3}])
+def test_gv_config_rejects_primes_past_2_63(params):
+    p = 9223372036854775837  # the least prime above 2^63
+    doc = {"inequality": "gv", "primes": [p], "orders": [2], "params": params}
+    with pytest.raises(ConfigError) as exc:
+        SweepConfig.from_json(doc)
+    assert str(exc.value) == f"primes: gv sweeps need primes below 2^63, got {p}"
+    doc["primes"] = [9223372036854775783]  # the greatest prime below 2^63 loads
+    assert SweepConfig.from_json(doc).primes == (9223372036854775783,)
+
+
 def test_cli_bad_params_exit_1_no_output(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(
@@ -882,7 +911,7 @@ def test_thmap_instances_carry_their_shifts_in_the_poly_text():
         assert "shifts" not in inst
         fs = sweep._univariates(inst["poly"], make_prime(inst["p"]))
         assert [f.coeffs for f in fs] == [
-            {0: int(part[2:]), 1: 1} for part in inst["poly"].split(";")
+            (int(part[2:]), 1) for part in inst["poly"].split(";")
         ]
 
 
