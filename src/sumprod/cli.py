@@ -12,21 +12,34 @@ import argparse
 import json
 import sys
 
-from ._record import asdict
-from .bounds import extract_permissible
+from ._record import fields
+from .bounds import Verdict, extract_permissible
 from .errors import WorkbenchError
 from .field import EXT_ELEMENT_BUDGET, make_prime
 from .poly import is_good, is_required, parse_bipoly
 from .setops import DEFAULT_MAX_PAIRS, image, value_set
 from .subgroup import enumerate_subgroups, subgroup_of_order
-from .sweep import SweepConfig, _read_json, _subgroup, evaluate, write_sweep
+from .sweep import _KINDS, SweepConfig, _read_json, _subgroup, evaluate, write_sweep
 
-# the flags each verify kind needs, in the order a missing one is named
-_NEEDS = {"gv": ["mu"], "t2": ["poly"], "vm": ["poly", "alphas"], "thmap": ["fs", "cosets"]}
-# the factorization probe fields that `probe factorization` prints
-_FACTORIZATION_SHOWN = (
-    "image_size", "is_representation", "exponent_a", "exponent_b", "in_band", "min_q"
-)
+# argparse settings of the verify/probe options that are not plain text
+_OPTIONS = {
+    "mu": {"type": int},
+    "fs": {"help": "semicolon-separated univariate expressions"},
+    "cosets": {"help": "comma-separated coset representatives"},
+    "delta": {"type": float}, "epsilon": {"type": float},
+}
+# the result fields a `probe` choice prints, where not all of them
+_SHOWN = {"factorization": (
+    "image_size", "is_representation", "exponent_a", "exponent_b", "in_band", "min_q")}
+# the sweep instance fields that a verify/probe option's text gives, where
+# that is not the text itself under the option's name
+_FIELDS = {
+    "alphas": lambda text, prime: {"alphas": _int_list(text)},
+    "cosets": lambda text, prime: {"coset_reps": _int_list(text)},
+    "A": lambda text, prime: {"A": _int_list(text)},
+    "B": lambda text, prime: {"B": _int_list(text)},
+    "fs": lambda text, prime: {"poly": text, "fs": _fs_coeffs(text, prime)},
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,6 +63,17 @@ def _print(obj: dict, fmt: str) -> None:
         print(" ".join(f"{k}={_fmt_val(v)}" for k, v in obj.items()))
 
 
+def _fs_coeffs(text: str, prime) -> tuple[tuple[int, ...], ...]:
+    """The coefficient tuples, low degree first, of the x-polynomials in --fs."""
+    fs = []
+    for part in text.split(";"):
+        Q = parse_bipoly(part, prime)
+        if Q.deg_y > 0:
+            raise WorkbenchError(f"--fs entries must use only x: {part!r}")
+        fs.append(Q.coeff_of_y_power(0).coeffs)
+    return tuple(fs)
+
+
 def _fmt_val(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -60,76 +84,63 @@ def _fmt_val(v) -> str:
     return str(v)
 
 
-def _verdict_dict(v) -> dict:
-    return {
-        "inequality": v.inequality,
-        "premise": "met" if v.premise_ok else f"not-met({v.premise_reason})",
-        "lhs": v.lhs,
-        "rhs": v.rhs,
-        "holds": v.holds,
-        "borderline": v.borderline,
-        "ratio": v.ratio,
-    }
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="sumprod", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, **kwargs):
+    def add(name: str, run, **kwargs):
         sp = sub.add_parser(name, **kwargs)
+        sp.set_defaults(run=run)
         sp.add_argument("--format", choices=("text", "json"), default="text")
         return sp
 
-    sp = add("subgroups", help="list the subgroups of F_p*")
+    sp = add("subgroups", _cmd_subgroups, help="list the subgroups of F_p*")
     sp.add_argument("--p", type=int, required=True)
 
-    sp = add("check-good", help="homogeneity / irreducible-shift / axis check")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--poly", required=True)
-
-    sp = add("check-required", help="reject single-variable factors")
+    sp = add("check-good", _cmd_check_good, help="homogeneity / irreducible-shift / axis check")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--poly", required=True)
 
-    sp = add("image", help="evaluate {P(a,b)} over A x B (or G x G via --order)")
+    sp = add("check-required", _cmd_check_required, help="reject single-variable factors")
+    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--poly", required=True)
+
+    sp = add("image", _cmd_image, help="evaluate {P(a,b)} over A x B (or G x G via --order)")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--poly", required=True)
     sp.add_argument("--order", type=int)
     sp.add_argument("--A")
     sp.add_argument("--B")
 
-    sp = add("intersect-shift", help="|G ∩ (G + mu)|")
+    sp = add("intersect-shift", _cmd_intersect_shift, help="|G ∩ (G + mu)|")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--order", type=int, required=True)
     sp.add_argument("--mu", type=int, required=True)
 
-    sp = add("extract-permissible", help="greedy permissible-subset extraction")
+    sp = add("extract-permissible", _cmd_extract_permissible,
+             help="greedy permissible-subset extraction")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--poly", required=True)
     sp.add_argument("--ys", required=True)
 
-    sp = add("verify", help="check one inequality instance")
-    sp.add_argument("inequality", choices=("t2", "vm", "gv", "thmap"))
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--order", type=int, required=True)
-    sp.add_argument("--poly")
-    sp.add_argument("--alphas")
-    sp.add_argument("--mu", type=int)
-    sp.add_argument("--fs", help="semicolon-separated univariate expressions")
-    sp.add_argument("--cosets", help="comma-separated coset representatives")
-
-    sp = add("probe", help="ratio-only reports (no pass/fail)")
-    sp.add_argument("what", choices=("growth", "factorization"))
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--order", type=int, required=True)
-    sp.add_argument("--poly")
-    sp.add_argument("--A")
-    sp.add_argument("--B")
-    sp.add_argument("--delta", type=float, default=0.5)
-    sp.add_argument("--epsilon", type=float, default=0.25)
+    for command, dest, run, text in (
+        ("verify", "inequality", _cmd_verify, "check one inequality instance"),
+        ("probe", "what", _cmd_probe, "ratio-only reports (no pass/fail)"),
+    ):
+        # {choice: sweep kind} of the kinds that command checks
+        kinds = {e["name"] or k: k for k, e in _KINDS.items() if e["command"] == command}
+        sp = add(command, run, help=text)
+        sp.set_defaults(kinds=kinds)
+        sp.add_argument(dest, choices=tuple(kinds))
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--order", type=int, required=True)
+        # an option named like a param of its kind takes the param's default
+        defaults = {n: r[1] for k in kinds.values() for n, r in _KINDS[k]["params"].items()}
+        for flag in dict.fromkeys(f for k in kinds.values() for f in _KINDS[k]["flags"]):
+            sp.add_argument(f"--{flag}", default=defaults.get(flag), **_OPTIONS.get(flag, {}))
 
     sp = sub.add_parser("sweep", help="run a config-driven batch and emit a report")
+    sp.set_defaults(run=_cmd_sweep)
     sp.add_argument("--config", required=True)
     sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     sp.add_argument("--out", default="-")
@@ -137,12 +148,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, help="override the config seed")
 
     return parser
-
-
-def _require(args, names: list[str]) -> None:
-    missing = [n for n in names if getattr(args, n.lstrip("-").replace("-", "_")) is None]
-    if missing:
-        raise WorkbenchError(f"{args.command}: missing {', '.join('--' + m for m in missing)}")
 
 
 def _cmd_subgroups(args) -> int:
@@ -212,42 +217,33 @@ def _cmd_extract_permissible(args) -> int:
     return 0
 
 
-def _evaluate(args, kind: str, **fields):
-    """sweep.evaluate on the instance of --p/--order and fields, at the
-    sweep's default budgets."""
-    budgets = {"max_pairs": DEFAULT_MAX_PAIRS, "ext_elements": EXT_ELEMENT_BUDGET}
-    return evaluate({"kind": kind, "p": args.p, "order": args.order, **budgets, **fields})
+def _instance(args, kind: str) -> dict:
+    """The sweep instance of --p, --order and the kind's options, at default budgets."""
+    prime = _subgroup(args.p, args.order).prime  # named before a missing option
+    flags = _KINDS[kind]["flags"]
+    missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
+    if missing:
+        raise WorkbenchError(f"{args.command}: missing {', '.join(missing)}")
+    inst = {"kind": kind, "p": args.p, "order": args.order,
+            "max_pairs": DEFAULT_MAX_PAIRS, "ext_elements": EXT_ELEMENT_BUDGET}
+    for flag in flags:
+        text = getattr(args, flag)
+        inst.update(_FIELDS[flag](text, prime) if flag in _FIELDS else {flag: text})
+    return inst
 
 
 def _cmd_verify(args) -> int:
-    kind = args.inequality
-    _subgroup(args.p, args.order)  # a bad --p or --order is named before a missing flag
-    _require(args, _NEEDS[kind])
-    if kind == "gv":
-        v = _evaluate(args, kind, mu=args.mu)
-    elif kind == "thmap":
-        v = _evaluate(args, kind, poly=args.fs, coset_reps=_int_list(args.cosets))
-    elif kind == "vm":
-        v = _evaluate(args, kind, poly=args.poly, alphas=_int_list(args.alphas))
-    else:
-        v = _evaluate(args, kind, poly=args.poly)
-    _print(_verdict_dict(v), args.format)
+    v = evaluate(_instance(args, args.inequality))
+    premise = "met" if v.premise_ok else f"not-met({v.premise_reason})"
+    shown = {name: getattr(v, name) for name in fields(Verdict)[3:]}  # lhs .. ratio
+    _print({"inequality": v.inequality, "premise": premise, **shown}, args.format)
     return 2 if v.premise_ok and v.holds is False else 0
 
 
 def _cmd_probe(args) -> int:
-    _subgroup(args.p, args.order)
-    if args.what == "growth":
-        out = asdict(_evaluate(args, "growth"))
-    else:
-        if args.poly is None or args.A is None or args.B is None:
-            raise WorkbenchError("probe factorization: need --poly, --A, --B")
-        A, B = _int_list(args.A), _int_list(args.B)
-        pr = _evaluate(
-            args, "probe", poly=args.poly, A=A, B=B, delta=args.delta, epsilon=args.epsilon
-        )
-        out = {name: getattr(pr, name) for name in _FACTORIZATION_SHOWN}
-    _print(out, args.format)
+    r = evaluate(_instance(args, args.kinds[args.what]))
+    shown = _SHOWN.get(args.what) or fields(type(r))
+    _print({name: getattr(r, name) for name in shown}, args.format)
     return 0
 
 
@@ -263,24 +259,11 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "subgroups": _cmd_subgroups,
-    "check-good": _cmd_check_good,
-    "check-required": _cmd_check_required,
-    "image": _cmd_image,
-    "intersect-shift": _cmd_intersect_shift,
-    "extract-permissible": _cmd_extract_permissible,
-    "verify": _cmd_verify,
-    "probe": _cmd_probe,
-    "sweep": _cmd_sweep,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except SystemExit as e:
         return int(e.code or 0)
     except (WorkbenchError, ValueError, OSError) as e:

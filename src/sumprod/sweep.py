@@ -2,6 +2,12 @@
 in parallel), and emit byte-stable JSONL/CSV reports.  `evaluate` runs one
 instance of any kind; `run_instance` turns its result into a record.
 
+The kinds live in one table, `_KINDS`, with one entry per kind: its params
+with their rules and defaults, what it requires of a config, how it builds
+the units of one subgroup, its detail text, its runner, its records per
+unit, and the CLI command that checks one instance.  Nothing else in the
+sweep or the CLI branches on the kind.
+
 A gv work unit is one subgroup (p, |G|) with a segment of its shifts mu;
 every other unit is one instance.  One function, `_shared`, turns any unit
 into its distinct records (or their report lines) and one small index per
@@ -53,14 +59,15 @@ from .bounds import (
     verify_level_pair_bound,
     verify_shift_overlap_bound,
 )
-from .errors import BudgetExceeded, ConfigError, DegreeOverflow, ParseError, WorkbenchError
+from .errors import BudgetExceeded, ConfigError, DegreeOverflow, ParseError
 from .field import EXT_ELEMENT_BUDGET, MAX_PRIME, Prime, divisors, is_prime_u64, make_prime
 from .poly import UniPoly, is_required, parse_bipoly
 from .setops import DEFAULT_MAX_PAIRS, shift_histogram, value_set
 from .subgroup import Subgroup, coset_of, in_admitted_window, subgroup_of_order
 
 SCHEMA_VERSION = 1
-KINDS = ("t2", "vm", "gv", "thmap", "growth", "probe")
+# the widest `primes: {start, stop}` range, stop - start, a config may give
+MAX_PRIME_SPAN = 10**5
 CSV_COLUMNS = (
     "schema",
     "kind",
@@ -82,17 +89,6 @@ CSV_COLUMNS = (
 
 # used only to syntax-check expressions before any per-prime parse
 _SYNTAX_CHECK_PRIME = 2147483647
-
-# the params each kind reads: "count" is a positive integer, "fraction" a
-# number strictly between 0 and 1
-_PARAMS = {
-    "t2": {},
-    "vm": {"alpha_count": "count", "alpha_sets": "count"},
-    "gv": {"mu_sample": "count"},
-    "thmap": {"pair_count": "count"},
-    "growth": {},
-    "probe": {"set_size": "count", "trials": "count", "delta": "fraction", "epsilon": "fraction"},
-}
 
 # the keys a config and its "budgets" object may hold
 _KEYS = ("budgets", "inequality", "jobs", "orders", "params", "polys", "primes", "seed")
@@ -135,6 +131,7 @@ class SweepConfig:
         kind = data.get("inequality")
         if kind not in KINDS:
             raise ConfigError(f"inequality: must be one of {'|'.join(KINDS)}, got {kind!r}")
+        entry = _KINDS[kind]
 
         primes_raw = data.get("primes")
         if isinstance(primes_raw, dict):
@@ -143,18 +140,20 @@ class SweepConfig:
                 raise ConfigError(f"primes: need integer start/stop, got {start!r}/{stop!r}")
             if not 3 <= start <= stop <= MAX_PRIME:
                 raise ConfigError("primes: need 3 <= start <= stop < 2^64")
+            span = stop - start
+            if span > MAX_PRIME_SPAN:
+                raise ConfigError(f"primes: need stop - start <= {MAX_PRIME_SPAN}, got {span}")
             primes = tuple(n for n in range(start | 1, stop + 1, 2) if is_prime_u64(n))
         elif isinstance(primes_raw, list) and primes_raw:
-            primes = []
             for i, v in enumerate(primes_raw):
                 if not _is_int(v) or not 3 <= v <= MAX_PRIME or not is_prime_u64(v):
                     raise ConfigError(f"primes[{i}]: {v!r} is not an odd prime below 2^64")
-                primes.append(v)
-            primes = tuple(sorted(set(primes)))
+            primes = tuple(sorted(set(primes_raw)))
         else:
             raise ConfigError("primes: need {start, stop} or a nonempty list")
-        if kind == "gv" and primes and primes[-1] > 2**63:  # len(range(1, p)) is a C ssize_t
-            raise ConfigError(f"primes: gv sweeps need primes below 2^63, got {primes[-1]}")
+        bits = entry["prime_bits"]
+        if primes and primes[-1] > 2**bits:
+            raise ConfigError(f"primes: {kind} sweeps need primes below 2^{bits}, got {primes[-1]}")
 
         orders_raw = data.get("orders", "all")
         if orders_raw == "all":
@@ -164,6 +163,9 @@ class SweepConfig:
                 if not _is_int(v) or v < 1:
                     raise ConfigError(f"orders[{i}]: {v!r} is not a positive integer")
             orders = tuple(sorted(set(orders_raw)))
+            least = entry["min_order"]
+            if not any((p - 1) % d == 0 for d in orders if d >= least for p in primes):
+                raise ConfigError(f"orders: no listed d >= {least} divides p - 1 of a listed prime")
         elif isinstance(orders_raw, dict) and set(orders_raw) == {"admitted_for_n"}:
             n = orders_raw["admitted_for_n"]
             if not _is_int(n) or n < 1:
@@ -182,9 +184,9 @@ class SweepConfig:
                 parse_bipoly(text, _SYNTAX_CHECK_PRIME)
             except (ParseError, DegreeOverflow) as e:
                 raise ConfigError(f"polys[{i}]: {text!r}: {e}") from None
-        if kind in ("t2", "vm", "probe") and not polys_raw:
+        if entry["polys"] and not polys_raw:
             raise ConfigError(f"polys: {kind} sweeps need at least one expression")
-        if kind == "probe":  # a factor in one variable can appear mod p only
+        if entry["polys"] == "required":  # a factor in one variable can appear mod p only
             for i, text in enumerate(polys_raw):
                 for p in primes:
                     P = parse_bipoly(text, p)
@@ -196,12 +198,11 @@ class SweepConfig:
         params = data.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("params: must be an object")
-        allowed = _PARAMS[kind]
         for name, value in params.items():
-            rule = allowed.get(name)
-            if rule is None:
-                known = ", ".join(sorted(allowed)) or "none"
+            if name not in entry["params"]:
+                known = ", ".join(sorted(entry["params"])) or "none"
                 raise ConfigError(f"params.{name}: not a {kind} parameter (known: {known})")
+            rule = entry["params"][name][0]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"params.{name}: need a number, got {value!r}")
             if rule == "count" and not (_is_int(value) and value >= 1):
@@ -265,105 +266,170 @@ def _subgroup(p: int, d: int) -> Subgroup:
 
 
 def _orders_for(cfg: SweepConfig, p: int) -> list[int]:
-    ds = divisors(p - 1)
+    """The orders of p's subgroups that the config sweeps, ascending."""
     if cfg.orders == "all":
-        picked = ds
-    elif isinstance(cfg.orders, tuple) and cfg.orders and cfg.orders[0] == "admitted_for_n":
-        n = cfg.orders[1]
-        picked = [d for d in ds if in_admitted_window(d, n, p)]
-    else:
-        wanted = set(cfg.orders)
-        picked = [d for d in ds if d in wanted]
-    if cfg.inequality in ("growth", "probe"):
-        picked = [d for d in picked if d >= 2]
-    return picked
+        picked = divisors(p - 1)
+    elif cfg.orders[0] == "admitted_for_n":
+        picked = [d for d in divisors(p - 1) if in_admitted_window(d, cfg.orders[1], p)]
+    else:  # a sorted list, checked as from_json checks it
+        picked = [d for d in cfg.orders if (p - 1) % d == 0]
+    least = _KINDS[cfg.inequality]["min_order"]
+    return [d for d in picked if d >= least]
 
 
 def _rng(cfg: SweepConfig, *parts) -> random.Random:
     return random.Random("|".join([str(cfg.seed), *map(str, parts)]))
 
 
-def _sample_distinct_coset_values(rng: random.Random, G: Subgroup, h: int) -> list[int]:
-    """h nonzero values in pairwise-distinct G-cosets (h capped by coset count)."""
-    p = G.p
-    h = min(h, (p - 1) // G.order)
-    seen_keys: set[int] = set()  # v^|G| is the same exactly for v in one coset
-    out: list[int] = []
-    while len(out) < h:
-        v = rng.randrange(1, p)
-        key = pow(v, G.order, p)
-        if key not in seen_keys:
-            seen_keys.add(key)
-            out.append(v)
-    return sorted(out)
+def _ints(values) -> str:
+    return ",".join(map(str, values))
+
+
+def _vm_units(cfg: SweepConfig, p: int, d: int, poly: str, alpha_count: int, alpha_sets: int):
+    """alpha_sets sets of alpha_count levels in pairwise-distinct G-cosets,
+    fewer if there are fewer cosets."""
+    h = min(alpha_count, (p - 1) // d)
+    for t in range(alpha_sets):
+        rng = _rng(cfg, p, d, poly, "vm", t)
+        alphas: dict[int, int] = {}  # the first v drawn with each coset key v^|G|
+        while len(alphas) < h:
+            v = rng.randrange(1, p)
+            alphas.setdefault(pow(v, d, p), v)
+        yield {"alphas": sorted(alphas.values())}
+
+
+def _gv_units(cfg: SweepConfig, p: int, d: int, poly: str, mu_sample: int | None):
+    """One unit with every shift, or with mu_sample sorted sampled ones."""
+    if mu_sample is None:
+        mus: Sequence[int] = range(1, p)
+    else:
+        mus = sorted(_rng(cfg, p, d, "mu").sample(range(1, p), min(mu_sample, p - 1)))
+    yield {"mus": mus}
+
+
+def _thmap_units(cfg: SweepConfig, p: int, d: int, poly: str, pair_count: int):
+    """pair_count families x+lo, x+hi, each with its coefficient tuples, so
+    no record parses its poly text."""
+    for t in range(pair_count):
+        rng = _rng(cfg, p, d, "thmap", t)
+        a = rng.randrange(1, p)
+        b = rng.randrange(1, p)
+        while b == a:
+            b = rng.randrange(1, p)
+        lo, hi = sorted((a, b))
+        reps = [rng.randrange(1, p), rng.randrange(1, p)]
+        yield {"poly": f"x+{lo};x+{hi}", "fs": ((lo, 1), (hi, 1)), "coset_reps": reps}
+
+
+def _probe_units(
+    cfg: SweepConfig, p: int, d: int, poly: str,
+    set_size: int, trials: int, delta: float, epsilon: float,
+):
+    G = _subgroup(p, d)
+    k = max(2, min(set_size, d))
+    for t in range(trials):
+        rng = _rng(cfg, p, d, poly, "probe", t)
+        A = sorted(rng.sample(G.elements, k))
+        B = sorted(rng.sample(G.elements, k))
+        yield {"A": A, "B": B, "delta": delta, "epsilon": epsilon}
+
+
+def _kind(run, units=lambda cfg, p, d, poly: ({},), detail=lambda inst: "",
+          fills=lambda unit: ("",), params={}, polys="", min_order=1, prime_bits=64,
+          command="verify", name="", flags=()) -> dict:
+    """One entry of `_KINDS`: its arguments by name.
+
+    units(cfg, p, d, poly, **params) yields the fields after (p, order,
+    poly) of the units of one subgroup and poly ("" unless the kind reads
+    polys; thmap sets its own).  run(inst, G, P) calls the kind's `bounds`
+    function, P the parsed poly if the kind reads polys.  fills(unit) has
+    one entry per record.  params maps each param to its rule ("count": a
+    positive integer, "fraction": in (0, 1)) and default.  polys: "needed"
+    if a config must list one, "required" if each must also be nonzero with
+    no single-variable factor mod every prime.  `sumprod <command> <name or
+    kind>` checks one instance with the options in flags, in this order.
+    """
+    return locals()
+
+
+_KINDS = {
+    "t2": _kind(
+        run=lambda inst, G, P: verify_image_lower_bound(
+            P, G, max_pairs=inst["max_pairs"], ext_budget=inst["ext_elements"]
+        ),
+        polys="needed", flags=("poly",),
+    ),
+    "vm": _kind(
+        units=_vm_units,
+        run=lambda inst, G, P: verify_level_pair_bound(
+            P, G, value_set(G.prime, inst["alphas"]),
+            max_pairs=inst["max_pairs"], ext_budget=inst["ext_elements"],
+        ),
+        detail=lambda inst: "alphas=" + _ints(inst["alphas"]),
+        params={"alpha_count": ("count", 1), "alpha_sets": ("count", 1)},
+        polys="needed", flags=("poly", "alphas"),
+    ),
+    "gv": _kind(
+        units=_gv_units,
+        run=lambda inst, G, P: verify_shift_overlap_bound(G, inst["mu"]),
+        detail=lambda inst: f"mu={inst['mu']}",
+        fills=lambda unit: unit["mus"],
+        params={"mu_sample": ("count", None)},  # None: every shift
+        prime_bits=63,  # len(range(1, p)) is a C ssize_t
+        flags=("mu",),
+    ),
+    "thmap": _kind(
+        units=_thmap_units,
+        run=lambda inst, G, P: verify_fiber_bound(
+            [UniPoly(G.p, coeffs) for coeffs in inst["fs"]],
+            [coset_of(r, G) for r in inst["coset_reps"]],
+            G, max_pairs=inst["max_pairs"],
+        ),
+        detail=lambda inst: "cosets=" + _ints(inst["coset_reps"]),
+        params={"pair_count": ("count", 1)}, flags=("fs", "cosets"),
+    ),
+    "growth": _kind(
+        run=lambda inst, G, P: probe_growth(G, max_pairs=inst["max_pairs"]),
+        min_order=2, command="probe",
+    ),
+    "probe": _kind(
+        units=_probe_units,
+        run=lambda inst, G, P: probe_factorization(
+            P, value_set(G.prime, inst["A"]), value_set(G.prime, inst["B"]), G,
+            ProbeConfig(inst["delta"], inst["epsilon"]), max_pairs=inst["max_pairs"],
+        ),
+        detail=lambda inst: f"A={_ints(inst['A'])};B={_ints(inst['B'])}",
+        params={
+            "set_size": ("count", 4), "trials": ("count", 1),
+            "delta": ("fraction", 0.5), "epsilon": ("fraction", 0.25),
+        },
+        polys="required", min_order=2, command="probe", name="factorization",
+        flags=("poly", "A", "B", "delta", "epsilon"),
+    ),
+}
+KINDS = tuple(_KINDS)
 
 
 def _units(cfg: SweepConfig) -> list[dict]:
     """The config's work units in report order; each is picklable.
 
-    A gv unit is one subgroup with all its shifts: the instance fields plus
-    "mus", a range or a sorted list.  Every other unit is one instance.
     Units carry the record's (p, order, poly), so sorting them here puts
     the records in the order the report needs (thmap trials, for one, are
     drawn in trial order but reported in shift-string order).
     """
-    out: list[dict] = []
     kind = cfg.inequality
     base = {
         "kind": kind, "seed": cfg.seed, "max_pairs": cfg.max_pairs, "ext_elements": cfg.ext_elements
     }
-    for p in cfg.primes:
-        for d in _orders_for(cfg, p):
-            if kind == "gv":
-                if "mu_sample" in cfg.params:
-                    count = cfg.params["mu_sample"]
-                    rng = _rng(cfg, p, d, "mu")
-                    mus: Sequence[int] = sorted(rng.sample(range(1, p), min(count, p - 1)))
-                else:
-                    mus = range(1, p)
-                out.append({**base, "p": p, "order": d, "poly": "", "mus": mus})
-            elif kind == "growth":
-                out.append({**base, "p": p, "order": d, "poly": ""})
-            elif kind == "t2":
-                for poly in cfg.polys:
-                    out.append({**base, "p": p, "order": d, "poly": poly})
-            elif kind == "vm":
-                h = cfg.params.get("alpha_count", 1)
-                trials = cfg.params.get("alpha_sets", 1)
-                for poly in cfg.polys:
-                    for t in range(trials):
-                        rng = _rng(cfg, p, d, poly, "vm", t)
-                        G = _subgroup(p, d)
-                        alphas = _sample_distinct_coset_values(rng, G, h)
-                        out.append({**base, "p": p, "order": d, "poly": poly, "alphas": alphas})
-            elif kind == "thmap":
-                trials = cfg.params.get("pair_count", 1)
-                for t in range(trials):
-                    rng = _rng(cfg, p, d, "thmap", t)
-                    a = rng.randrange(1, p)
-                    b = rng.randrange(1, p)
-                    while b == a:
-                        b = rng.randrange(1, p)
-                    lo, hi = sorted((a, b))
-                    reps = [rng.randrange(1, p), rng.randrange(1, p)]
-                    poly = f"x+{lo};x+{hi}"
-                    out.append({**base, "p": p, "order": d, "poly": poly, "coset_reps": reps})
-            elif kind == "probe":
-                size = cfg.params.get("set_size", 4)
-                trials = cfg.params.get("trials", 1)
-                delta = cfg.params.get("delta", 0.5)
-                epsilon = cfg.params.get("epsilon", 0.25)
-                for poly in cfg.polys:
-                    for t in range(trials):
-                        rng = _rng(cfg, p, d, poly, "probe", t)
-                        G = _subgroup(p, d)
-                        k = max(2, min(size, d))
-                        A = sorted(rng.sample(G.elements, k))
-                        B = sorted(rng.sample(G.elements, k))
-                        out.append({
-                            **base, "p": p, "order": d, "poly": poly,
-                            "A": A, "B": B, "delta": delta, "epsilon": epsilon,
-                        })
+    entry = _KINDS[kind]
+    params = {name: cfg.params.get(name, default) for name, (_, default) in entry["params"].items()}
+    out = [
+        {**base, "p": p, "order": d, "poly": poly, **fields}
+        for p in cfg.primes
+        for d in _orders_for(cfg, p)
+        for poly in (cfg.polys if entry["polys"] else ("",))
+        for fields in entry["units"](cfg, p, d, poly, **params)
+    ]
     # generation order is already deterministic and numerically natural, so
     # the stable sort only needs the coarse key; ties keep their enumeration
     # order (e.g. mu=2 stays ahead of mu=10)
@@ -381,7 +447,7 @@ _MU = "<mu>"
 def _fills(unit: dict) -> Sequence:
     """One entry per record of a unit, put where _MU stands: the shifts of a
     gv unit, nothing for the one record of any other unit."""
-    return unit["mus"] if "mus" in unit else ("",)
+    return _KINDS[unit["kind"]]["fills"](unit)
 
 
 def _expand(unit: dict) -> list[dict]:
@@ -398,21 +464,6 @@ def generate_instances(cfg: SweepConfig) -> list[dict]:
     return [inst for unit in _units(cfg) for inst in _expand(unit)]
 
 
-def _detail(inst: dict) -> str:
-    kind = inst["kind"]
-    if kind == "gv":
-        return f"mu={inst['mu']}"
-    if kind == "vm":
-        return "alphas=" + ",".join(map(str, inst["alphas"]))
-    if kind == "thmap":
-        return "cosets=" + ",".join(map(str, inst["coset_reps"]))
-    if kind == "probe":
-        return (
-            "A=" + ",".join(map(str, inst["A"])) + ";B=" + ",".join(map(str, inst["B"]))
-        )
-    return ""
-
-
 def _base_record(inst: dict) -> dict:
     G = _subgroup(inst["p"], inst["order"])
     return {
@@ -422,7 +473,7 @@ def _base_record(inst: dict) -> dict:
         "order": inst["order"],
         "generator": G.generator,
         "poly": inst["poly"],
-        "detail": _detail(inst),
+        "detail": _KINDS[inst["kind"]]["detail"](inst),
         "premise_ok": False,
         "premise_reason": "",
         "lhs": 0,
@@ -435,48 +486,19 @@ def _base_record(inst: dict) -> dict:
     }
 
 
-def _univariates(text: str, prime: Prime) -> list[UniPoly]:
-    """The ';'-separated polynomials in x of a thmap instance (the CLI's --fs)."""
-    fs = []
-    for part in text.split(";"):
-        Q = parse_bipoly(part, prime)
-        if Q.deg_y > 0:
-            raise WorkbenchError(f"--fs entries must use only x: {part!r}")
-        fs.append(Q.coeff_of_y_power(0))
-    return fs
-
-
 def evaluate(inst: dict) -> Verdict | GrowthReport | FactorizationProbe:
-    """Check one instance with its kind's function from `bounds`.
+    """Check one instance with its kind's runner.
 
     This is the only place an instance meets those functions: sweep records
     and `sumprod verify`/`probe` both come from its result.  BudgetExceeded
     propagates; run_instance turns it into a `budget:` record.
     """
-    kind = inst["kind"]
+    entry = _KINDS[inst["kind"]]
     G = _subgroup(inst["p"], inst["order"])
-    if kind == "gv":
-        return verify_shift_overlap_bound(G, inst["mu"])
-    if kind == "growth":
-        return probe_growth(G, max_pairs=inst["max_pairs"])
-    prime = G.prime
-    if kind == "thmap":
-        fs = _univariates(inst["poly"], prime)
-        cosets = [coset_of(r, G) for r in inst["coset_reps"]]
-        return verify_fiber_bound(fs, cosets, G, max_pairs=inst["max_pairs"])
-    P = parse_bipoly(inst["poly"], prime)
-    if kind == "probe":
-        A, B = value_set(prime, inst["A"]), value_set(prime, inst["B"])
-        probe = ProbeConfig(inst["delta"], inst["epsilon"])
-        return probe_factorization(P, A, B, G, probe, max_pairs=inst["max_pairs"])
-    budgets = {"max_pairs": inst["max_pairs"], "ext_budget": inst["ext_elements"]}
-    if kind == "t2":
-        return verify_image_lower_bound(P, G, **budgets)
-    if kind == "vm":
-        return verify_level_pair_bound(P, G, value_set(prime, inst["alphas"]), **budgets)
-    raise ConfigError(f"unknown kind {kind!r}")  # pragma: no cover - kinds are validated upstream
+    return entry["run"](inst, G, parse_bipoly(inst["poly"], G.prime) if entry["polys"] else None)
 
 
+_VERDICT_FIELDS = fields(Verdict)[1:]
 # the fields of a growth or probe result that go into its record's "extra"
 _EXTRA_FIELDS = {
     cls: tuple(name for name in fields(cls) if name not in ("p", "order"))
@@ -498,14 +520,8 @@ def _fill(rec: dict, r) -> dict:
     if isinstance(r, BudgetExceeded):
         rec["premise_reason"] = f"budget: {r}"
         rec["extra"] = {"error": "budget"}
-    elif isinstance(r, Verdict):
-        rec["premise_ok"] = r.premise_ok
-        rec["premise_reason"] = r.premise_reason
-        rec["lhs"] = r.lhs
-        rec["rhs"] = r.rhs
-        rec["holds"] = r.holds
-        rec["borderline"] = r.borderline
-        rec["ratio"] = r.ratio
+    elif isinstance(r, Verdict):  # every field but the kind
+        rec.update({name: getattr(r, name) for name in _VERDICT_FIELDS})
     else:  # growth and probe report ratios only
         rec["premise_ok"] = True
         rec["extra"] = {name: getattr(r, name) for name in _EXTRA_FIELDS[type(r)]}

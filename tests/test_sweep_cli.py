@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from sumprod import sweep
+from sumprod import cli, poly, sweep
 from sumprod.bounds import Verdict
 from sumprod.cli import main
 from sumprod.errors import BudgetExceeded, ConfigError, WorkbenchError
@@ -22,6 +23,7 @@ from sumprod.setops import shift_intersection
 from sumprod.subgroup import coset_of, in_admitted_window, subgroup_of_order
 from sumprod.sweep import (
     CSV_COLUMNS,
+    KINDS,
     SweepConfig,
     count_violations,
     emit_report,
@@ -32,7 +34,8 @@ from sumprod.sweep import (
     write_sweep,
 )
 
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "configs")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+CONFIG_DIR = os.path.join(ROOT, "scripts", "configs")
 SCRIPT_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 
 
@@ -121,6 +124,8 @@ def test_config_rejects_bad_params(kind, params, where):
         ({"param": {"mu_sample": 3}}, "param"),
         ({"budgets": {"max_pair": 1}}, "budgets.max_pair"),
         ({"budgets": {"ext_element": 100}}, "budgets.ext_element"),
+        ({"primes": {"start": 3, "stop": 10**12}}, "primes"),
+        ({"orders": [3]}, "orders"),
     ],
 )
 def test_config_rejects_non_integers(over, where):
@@ -129,6 +134,36 @@ def test_config_rejects_non_integers(over, where):
     with pytest.raises(ConfigError) as exc:
         SweepConfig.from_json(doc)
     assert str(exc.value).startswith(f"{where}:")
+
+
+@pytest.mark.parametrize(
+    "doc, want",
+    [
+        ({"inequality": "t2", "primes": [101], "orders": [7], "polys": ["x+y"]},
+         "orders: no listed d >= 1 divides p - 1 of a listed prime"),
+        ({"inequality": "growth", "primes": [101], "orders": [1]},
+         "orders: no listed d >= 2 divides p - 1 of a listed prime"),
+        ({"inequality": "t2", "primes": {"start": 3, "stop": 10**12}, "polys": ["x+y"]},
+         f"primes: need stop - start <= {sweep.MAX_PRIME_SPAN}, got {10**12 - 3}"),
+    ],
+)
+def test_cli_configs_with_nothing_to_sweep_exit_1_fast(tmp_path, capsys, doc, want):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "out.csv"
+    t0 = time.monotonic()
+    rc = main(["sweep", "--config", str(cfg_path), "--format", "csv", "--out", str(out_path)])
+    assert rc == 1 and time.monotonic() - t0 < 1
+    assert want in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_listed_orders_load_when_one_divides_some_p_minus_1():
+    doc = {"inequality": "growth", "primes": [13, 101], "orders": [1, 7, 25]}
+    cfg = SweepConfig.from_json(doc)  # 25 | 100
+    assert [(i["p"], i["order"]) for i in generate_instances(cfg)] == [(101, 25)]
+    wide = {"inequality": "gv", "primes": {"start": 3, "stop": 3 + sweep.MAX_PRIME_SPAN}}
+    assert SweepConfig.from_json(wide).primes[-1] == 100003
 
 
 def test_config_names_the_unknown_key_and_the_known_ones():
@@ -465,7 +500,8 @@ def test_thmap_sweep_above_2_31_runs_in_seconds(tmp_path):
 def test_nonlinear_thmap_over_budget_is_a_budget_record():
     inst = {
         "kind": "thmap", "seed": 1, "max_pairs": 10**6, "ext_elements": 10**6,
-        "p": 4294967311, "order": 11790, "poly": "x^2+3;x^2+7", "coset_reps": [5, 9],
+        "p": 4294967311, "order": 11790, "poly": "x^2+3;x^2+7",
+        "fs": ((3, 0, 1), (7, 0, 1)), "coset_reps": [5, 9],
     }
     rec = run_instance(inst)
     assert rec["premise_reason"] == "budget: scan of 4294967311 points exceeds budget 1000000"
@@ -864,6 +900,50 @@ def test_run_sweep_is_one_run_instance_per_instance(kind):
     assert records == run_sweep(cfg, jobs=1) == [run_instance(i) for i in generate_instances(cfg)]
 
 
+def test_every_kind_has_one_table_entry():
+    assert KINDS == ("t2", "vm", "gv", "thmap", "growth", "probe")
+    assert list(sweep._KINDS) == list(KINDS)
+    assert len({id(entry) for entry in sweep._KINDS.values()}) == len(KINDS)
+    assert sorted(PARITY_CONFIGS) == sorted(KINDS)
+
+
+def _choices(command: str) -> tuple:
+    """The choices of a subcommand's positional argument."""
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    return next(a for a in sub.choices[command]._actions if a.choices and not a.option_strings).choices
+
+
+def test_verify_choices_are_the_verdict_kinds():
+    verdicts = {
+        kind for kind, doc in PARITY_CONFIGS.items()
+        if isinstance(sweep.evaluate(generate_instances(SweepConfig.from_json(doc))[0]), Verdict)
+    }
+    assert _choices("verify") == ("t2", "vm", "gv", "thmap")
+    assert set(_choices("verify")) == verdicts
+    assert _choices("probe") == ("growth", "factorization")
+
+
+def test_readme_params_are_the_table_params():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("Per-kind `params`", 1)[1].split("\n\n", 2)[1]
+    bullets = [" ".join(b.split()) for b in section.split("\n* ")]
+    seen = {}
+    for bullet in bullets:
+        kinds, _, rest = bullet.lstrip("* ").partition(":")
+        spec = {
+            name: (rule, None if default == "no default" else default.removeprefix("default "))
+            for name, rule, default in re.findall(r"`(\w+)` \((count|fraction), ([^)]+)\)", rest)
+        }
+        for kind in re.findall(r"`(\w+)`", kinds):
+            seen[kind] = spec
+    want = {
+        kind: {name: (rule, None if d is None else str(d)) for name, (rule, d) in e["params"].items()}
+        for kind, e in sweep._KINDS.items()
+    }
+    assert seen == want
+
+
 def _cli_argv(inst: dict) -> list[str]:
     """The verify/probe command line that describes a sweep instance."""
     kind = inst["kind"]
@@ -906,19 +986,40 @@ def test_cli_prints_what_the_sweep_records(capsys, kind):
 
 
 def test_thmap_instances_carry_their_shifts_in_the_poly_text():
+    # the family a record reports is the one its instance evaluates: its
+    # poly text, read as `verify thmap --fs`, gives the instance's tuples
     cfg = SweepConfig.from_json(PARITY_CONFIGS["thmap"])
     for inst in generate_instances(cfg):
         assert "shifts" not in inst
-        fs = sweep._univariates(inst["poly"], make_prime(inst["p"]))
-        assert [f.coeffs for f in fs] == [
+        fs = cli._fs_coeffs(inst["poly"], make_prime(inst["p"]))
+        assert fs == inst["fs"] == tuple(
             (int(part[2:]), 1) for part in inst["poly"].split(";")
-        ]
+        )
+        assert run_instance(inst)["poly"] == inst["poly"]
 
 
-def test_fs_entries_must_use_only_x():
+def test_fs_entries_must_use_only_x(capsys):
     with pytest.raises(WorkbenchError) as exc:
-        sweep._univariates("x+1;x*y", make_prime(13))
+        cli._fs_coeffs("x+1;x*y", make_prime(13))
     assert str(exc.value) == "--fs entries must use only x: 'x*y'"
+    argv = ["verify", "thmap", "--p", "13", "--order", "3", "--fs", "x+1;x*y", "--cosets", "1,2"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --fs entries must use only x: 'x*y'\n"
+
+
+def test_thmap_sweep_parses_nothing_per_record(monkeypatch):
+    cfg = SweepConfig.from_json(STREAM_CONFIGS["thmap"])
+    real, calls = poly.parse_bipoly, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (sweep, poly):
+        monkeypatch.setattr(module, "parse_bipoly", counting)
+    records = run_sweep(cfg, jobs=1)
+    assert len(records) == 5 * (len(divisors(442)) + len(divisors(462)))
+    assert calls == []
 
 
 def _thmap_trial_polys(cfg, p, d, trials):
