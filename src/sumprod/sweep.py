@@ -10,8 +10,8 @@ sweep or the CLI branches on the kind.
 
 A gv work unit is one subgroup (p, |G|) with a segment of its shifts mu;
 every other unit is one instance.  One function, `_shared`, turns any unit
-into its distinct records (or their report lines) and one small index per
-record.  A gv record depends on mu only through lhs = |G ∩ (G + mu)|, which
+into its distinct report lines and one small index per record.  A gv
+record depends on mu only through lhs = |G ∩ (G + mu)|, which
 a gv unit reads for each mu from one key histogram per subgroup
 (`shift_histogram`) with one pow and one lookup; each lhs value is
 evaluated and rendered once, with a placeholder where mu goes.
@@ -24,13 +24,17 @@ count.  Randomness is drawn from a fresh generator seeded per instance
 by (p, order, poly) with ties in generation order, before fan-out.  The
 sorted units are cut into contiguous blocks of equally many records,
 splitting a subgroup's shifts where a block ends; each block runs in one
-worker, and the parent consumes the blocks in order, so a report streams
-out block by block and the parent never holds every record.  A worker
-sends back only the templates and indices; the parent, which built the
-block and so holds the shifts, splices them in as it writes.  The payload
-is a few percent of the text, and unlike per-worker block files it leaves
-no temporary files to remove when a sweep fails.  Wall-clock time is
-deliberately absent from the serialized records.
+worker, at most one per block or per CPU this process may run on, and the
+parent consumes the blocks in order, so a report streams out block by
+block and the parent never holds every record.  A worker sends back only
+the templates and indices; the parent, which built the block and so holds
+the shifts, splices them in, unit by unit, in `_splice`, the one place a
+fill goes into a record: `write_sweep` writes its text, and `run_sweep`
+reads the same jsonl lines back.  The payload is a few percent of the
+text, and unlike per-worker block files it leaves no temporary files to
+remove when a sweep fails.  A worker that dies (killed, or out of memory)
+ends the sweep with a WorkbenchError.  Wall-clock time is deliberately
+absent from the serialized records.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from .bounds import (
     verify_level_pair_bound,
     verify_shift_overlap_bound,
 )
-from .errors import BudgetExceeded, ConfigError, DegreeOverflow, ParseError
+from .errors import BudgetExceeded, ConfigError, DegreeOverflow, ParseError, WorkbenchError
 from .field import EXT_ELEMENT_BUDGET, MAX_PRIME, Prime, divisors, is_prime_u64, make_prime
 from .poly import UniPoly, is_required, parse_bipoly
 from .setops import DEFAULT_MAX_PAIRS, shift_histogram, value_set
@@ -534,35 +538,36 @@ def run_instance(inst: dict) -> dict:
     return _fill(_base_record(inst), _outcome(inst))
 
 
-def _shared(unit: dict, make) -> tuple[list, array]:
-    """The distinct make(record) of a unit, and per fill the index of its own.
+def _shared(unit: dict, fmt: str) -> tuple[list, array]:
+    """A unit's distinct report lines, each as _split_line(fmt, record)
+    gives it, and per fill the index of its own.
 
-    A one-instance unit gives [make(run_instance(unit))] and the index 0.
-    In a gv unit, lhs = |G ∩ (G + mu)| is the count of mu's coset key
-    mu^|G| mod p in shift_histogram(G).  Each lhs value is evaluated once,
-    at one mu that has it, and its record, whose detail reads "mu=<mu>",
-    goes through make once.  The indices take one byte each while there
-    are at most 256 records, as there almost always are.
+    A one-instance unit gives its one line and the index 0.  In a gv unit,
+    lhs = |G ∩ (G + mu)| is the count of mu's coset key mu^|G| mod p in
+    shift_histogram(G).  Each lhs value is evaluated and rendered once, at
+    one mu that has it, with "mu=<mu>" as its detail.  The indices take one
+    byte each while there are at most 256 lines, as there almost always are.
     """
     if "mus" not in unit:
-        return [make(run_instance(unit))], array("B", [0])
+        return [_split_line(fmt, run_instance(unit))], array("B", [0])
     p, d, mus = unit["p"], unit["order"], unit["mus"]
     counts = shift_histogram(_subgroup(p, d))
     inst = {k: v for k, v in unit.items() if k != "mus"}
     shared = {**inst, "mu": _MU}
     keys = [pow(mu, d, p) for mu in mus]
     mu_of = dict(zip(keys, mus))  # coset key -> one mu with that key
-    made: list = []
+    lines: list = []
     by_lhs: dict[int, int] = {}
-    line_of: dict[int, int] = {}  # coset key -> index into made
+    line_of: dict[int, int] = {}  # coset key -> index into lines
     for key in dict.fromkeys(keys):
         lhs = counts.get(key, 0)
         i = by_lhs.get(lhs)
         if i is None:
-            i = by_lhs[lhs] = len(made)
-            made.append(make(_fill(_base_record(shared), _outcome({**inst, "mu": mu_of[key]}))))
+            i = by_lhs[lhs] = len(lines)
+            rec = _fill(_base_record(shared), _outcome({**inst, "mu": mu_of[key]}))
+            lines.append(_split_line(fmt, rec))
         line_of[key] = i
-    return made, array("B" if len(made) <= 256 else "L", map(line_of.__getitem__, keys))
+    return lines, array("B" if len(lines) <= 256 else "L", map(line_of.__getitem__, keys))
 
 
 def _blocks(units: list[dict], size: int) -> list[list[dict]]:
@@ -583,42 +588,50 @@ def _blocks(units: list[dict], size: int) -> list[list[dict]]:
     return blocks
 
 
-def _run_block(make, units: list[dict]) -> list[tuple[list, array]]:
-    """_shared(unit, make) for each unit of a block: all a worker sends back."""
-    return [_shared(unit, make) for unit in units]
+def _run_block(fmt: str, units: list[dict]) -> list[tuple[list, array]]:
+    """_shared(unit, fmt) for each unit of a block: all a worker sends back."""
+    return [_shared(unit, fmt) for unit in units]
 
 
 @contextlib.contextmanager
-def _block_results(make, cfg: SweepConfig, jobs: int | None) -> Iterator[Iterator]:
-    """(block, _run_block(make, block)) for contiguous blocks of the sorted
-    work units, in block order, so no result carries a unit's shifts back.
+def _block_results(fmt: str, cfg: SweepConfig, jobs: int | None) -> Iterator[Iterator]:
+    """(unit, _shared(unit, fmt)) for every sorted work unit, in report order.
 
     The units are generated on entry, so a config that cannot be enumerated
-    fails before the caller opens any output.  Every block but the last
-    holds the same number of records, so a gv sweep balances as if each
-    shift were its own unit.  The pool starts no more workers than there
-    are blocks or CPUs, and each worker gets about eight blocks; with one
-    worker the blocks run in this process.  Leaving the context early
-    cancels the blocks not yet started.
+    fails before the caller opens any output.  They run in contiguous blocks
+    that all hold the same number of records but the last, so a gv sweep
+    balances as if each shift were its own unit, and no result carries a
+    unit's shifts back.  The pool starts no more workers than there are
+    blocks or CPUs this process may run on, and each worker gets about eight
+    blocks; with one worker the blocks run in this process.  A worker that
+    dies is a WorkbenchError.  Leaving the context early cancels the blocks
+    not yet started.
     """
     if jobs is not None and not (_is_int(jobs) and jobs >= 1):
         raise ConfigError(f"jobs: need a positive integer, got {jobs!r}")
     units = _units(cfg)
-    workers = min(cfg.jobs if jobs is None else jobs, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(cfg.jobs if jobs is None else jobs, cpus)
     size = max(1, sum(len(_fills(u)) for u in units) // (workers * 8))
     blocks = _blocks(units, size)
     workers = min(workers, len(blocks))
-    fn = functools.partial(_run_block, make)
+    fn = functools.partial(_run_block, fmt)
     if workers <= 1:
-        yield zip(blocks, map(fn, blocks))
+        yield (pair for block in blocks for pair in zip(block, fn(block)))
         return
     # imported here: a serial sweep never pays for the pool machinery
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         results = pool.map(fn, blocks)
         try:
-            yield zip(blocks, results)
+            yield (pair for block, shared in zip(blocks, results) for pair in zip(block, shared))
+        except BrokenProcessPool:
+            raise WorkbenchError("a sweep worker died before its blocks were done") from None
         finally:
             results.close()
 
@@ -631,8 +644,8 @@ def _split_line(fmt: str, rec: dict) -> tuple[str, str, int]:
 
 
 def _splice(unit: dict, lines: list, picks: array) -> tuple[str, int]:
-    """A unit's report text and violation count from its
-    _shared(unit, partial(_split_line, fmt))."""
+    """A unit's report text and violation count from its _shared(unit, fmt):
+    the one place a unit's fills go into its records."""
     heads = [head for head, _, _ in lines]
     tails = [tail for _, tail, _ in lines]
     text = "".join([f"{heads[i]}{fill}{tails[i]}" for fill, i in zip(_fills(unit), picks)])
@@ -640,18 +653,18 @@ def _splice(unit: dict, lines: list, picks: array) -> tuple[str, int]:
 
 
 def run_sweep(cfg: SweepConfig, jobs: int | None = None) -> list[dict]:
-    """All records for the config, sorted by (p, order, poly, detail).
+    """All records for the config in report order: the jsonl lines that
+    write_sweep writes, spliced the same way and read back with json.loads.
 
     The worker count changes scheduling only; unit generation and every
     sampled value happen before fan-out, so the records are identical for
     any value of jobs.
     """
-    with _block_results(dict, cfg, jobs) as blocks:
+    with _block_results("jsonl", cfg, jobs) as results:
         return [
-            {**rec, "detail": rec["detail"].replace(_MU, str(fill)), "extra": dict(rec["extra"])}
-            for units, shared in blocks
-            for unit, (made, picks) in zip(units, shared)
-            for fill, rec in zip(_fills(unit), map(made.__getitem__, picks))
+            json.loads(line)
+            for unit, shared in results
+            for line in _splice(unit, *shared)[0].splitlines()
         ]
 
 
@@ -711,25 +724,24 @@ def write_sweep(cfg: SweepConfig, fmt: str, path: str, jobs: int | None = None) 
     of premise-met violations.
 
     Each block runs in its worker and comes back as _shared's split lines
-    and indices; the blocks are spliced and written here in order after one
-    header, so the bytes equal render_report(run_sweep(cfg), fmt) while the
+    and indices; each unit is spliced and written here in order after one
+    header, so run_sweep's records are this report's lines, while the
     parent holds at most the lines of the blocks not yet written.  The
     output is opened only after the config's instances have been generated.
     If a block raises, a file this call created is removed again; an
     interrupted run keeps the blocks already written, each complete.
     """
     head = render_report([], fmt)  # the CSV header; empty for jsonl
-    with _block_results(functools.partial(_split_line, fmt), cfg, jobs) as blocks:
+    with _block_results(fmt, cfg, jobs) as results:
         created = path != "-" and not os.path.lexists(path)
         violations = 0
         try:
             with _open_report(path) as out:
                 out.write(head)
-                for units, shared in blocks:
-                    for unit, (lines, picks) in zip(units, shared):
-                        text, bad = _splice(unit, lines, picks)
-                        out.write(text)
-                        violations += bad
+                for unit, shared in results:
+                    text, bad = _splice(unit, *shared)
+                    out.write(text)
+                    violations += bad
         except Exception:
             if created:
                 os.remove(path)

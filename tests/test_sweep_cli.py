@@ -1,5 +1,4 @@
 import csv
-import functools
 import glob
 import io
 import json
@@ -799,6 +798,69 @@ def test_cli_sweep_error_mid_run_leaves_no_output(tmp_path, capsys, monkeypatch,
     assert not out_path.exists()
 
 
+def _two_cpus(monkeypatch):
+    """A --jobs 2 sweep starts a real pool of two, whatever this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def _die_at_101(monkeypatch):
+    """Make the forked worker that reaches p = 101 exit at once."""
+    _two_cpus(monkeypatch)
+    real, parent = sweep.evaluate, os.getpid()
+
+    def die(inst):
+        if inst["p"] == 101:
+            assert os.getpid() != parent, "p = 101 ran in the test process"
+            os._exit(7)
+        return real(inst)
+
+    monkeypatch.setattr(sweep, "evaluate", die)
+
+
+DEAD_WORKER_CONFIG = {"inequality": "gv", "primes": [13, 31, 61, 101], "orders": "all"}
+
+
+def test_cli_sweep_names_a_dead_worker(tmp_path, capsys, monkeypatch):
+    _die_at_101(monkeypatch)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(DEAD_WORKER_CONFIG))
+    out_path = tmp_path / "out.jsonl"
+    rc = main(["sweep", "--config", str(cfg_path), "--jobs", "2", "--out", str(out_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: a sweep worker died before its blocks were done\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("end", ["run_sweep", "block raises", "worker dies", "leave early"])
+def test_no_worker_outlives_a_sweep(monkeypatch, end):
+    _two_cpus(monkeypatch)
+    cfg = SweepConfig.from_json(DEAD_WORKER_CONFIG)
+    if end == "run_sweep":
+        assert len(run_sweep(cfg, jobs=2)) == len(generate_instances(cfg))
+    elif end == "block raises":
+        real = sweep.evaluate
+
+        def fail_at_61(inst):
+            if inst["p"] == 61:
+                raise WorkbenchError("planted failure")
+            return real(inst)
+
+        monkeypatch.setattr(sweep, "evaluate", fail_at_61)
+        with pytest.raises(WorkbenchError, match="planted failure"):
+            run_sweep(cfg, jobs=2)
+    elif end == "worker dies":
+        _die_at_101(monkeypatch)
+        with pytest.raises(WorkbenchError, match="a sweep worker died"):
+            run_sweep(cfg, jobs=2)
+    else:
+        with sweep._block_results("jsonl", cfg, 2) as results:
+            unit, (lines, picks) = next(results)
+            assert unit["p"] == 13 and len(picks) == 12
+    with pytest.raises(ChildProcessError):  # no child left, running or not yet reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_probe_config_rejects_single_variable_factor_at_every_prime():
     def load(primes, polys):
         return SweepConfig.from_json({"inequality": "probe", "primes": primes, "polys": polys})
@@ -852,17 +914,25 @@ class _RecordingPool:
         (3, gv_config(primes=[5, 7]), [3]),
         (None, gv_config(primes=[5, 7]), []),  # unknown CPU count: run serially
         (64, SweepConfig.from_json({"inequality": "growth", "primes": [5], "orders": [2]}), []),
+        (1, gv_config(primes=[5, 7]), []),  # one usable CPU: no pool
     ],
 )
 def test_pool_starts_no_more_workers_than_blocks_or_cpus(monkeypatch, cpus, config, workers):
+    # cpus is the size of this process's CPU affinity set on a machine of
+    # 128 CPUs; None is a platform without sched_getaffinity whose CPU count
+    # is unknown
     import concurrent.futures
 
     monkeypatch.setattr(_RecordingPool, "started", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 128)
     records = run_sweep(config, jobs=5000)
     assert _RecordingPool.started == workers
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert records == run_sweep(config, jobs=1)
 
 
@@ -1074,7 +1144,7 @@ def test_cli_stream_matches_render_report(tmp_path, name, fmt, jobs):
     rc = main(["sweep", "--config", str(cfg_path), "--format", fmt,
                "--jobs", str(jobs), "--out", str(out_path)])
     assert rc == 0
-    expected = render_report(records, fmt)
+    expected = _per_record_report(cfg, fmt)
     assert out_path.read_text(encoding="utf-8") == expected
     if name == "empty":
         assert expected == ("" if fmt == "jsonl" else ",".join(CSV_COLUMNS) + "\n")
@@ -1104,9 +1174,9 @@ def test_cli_sweep_counts_violations(tmp_path, monkeypatch, capsys):
     rc = main(["sweep", "--config", str(cfg_path), "--jobs", "1", "--out", str(out_path)])
     assert rc == 2
     assert f"{len(coset)} premise-met violation(s) found" in capsys.readouterr().err
-    records = run_sweep(SweepConfig.from_json(doc), jobs=1)
-    assert count_violations(records) == len(coset)
-    assert out_path.read_text(encoding="utf-8") == render_report(records, "jsonl")
+    cfg = SweepConfig.from_json(doc)
+    assert count_violations(run_sweep(cfg, jobs=1)) == len(coset)
+    assert out_path.read_text(encoding="utf-8") == _per_record_report(cfg, "jsonl")
 
 
 # --- gv work units: one record per verdict, mu spliced into its line --------
@@ -1168,8 +1238,7 @@ def test_gv_units_share_synthetic_verdicts_by_lhs(monkeypatch, fmt):
     records = [run_instance(inst) for inst in generate_instances(cfg)]
     assert {r["holds"] for r in records} == {True, False, None}
     assert any(r["borderline"] for r in records)
-    split = functools.partial(sweep._split_line, fmt)
-    pieces = [sweep._splice(unit, *sweep._shared(unit, split)) for unit in sweep._units(cfg)]
+    pieces = [sweep._splice(unit, *sweep._shared(unit, fmt)) for unit in sweep._units(cfg)]
     text, bad = "".join(t for t, _ in pieces), sum(b for _, b in pieces)
     assert text == render_report(records, fmt, header=False)
     assert bad == count_violations(records) > 0
@@ -1190,13 +1259,12 @@ def test_gv_block_payload_is_a_tenth_of_its_text(fmt):
     # not the text and not the shifts, which the parent already holds.  At
     # 100 samples per subgroup few shifts share a line, so that payload is
     # 10.0% of the CSV text (12.7% when it also carried the shifts)
-    split = functools.partial(sweep._split_line, fmt)
     for cfg, share in ((gv_config(primes=[389, 397], seed=3), 10),
                        (gv_config(primes=[389, 397], params={"mu_sample": 100}, seed=3), 8),
                        (gv_config(primes=[997, 1009], params={"mu_sample": 400}, seed=3), 10)):
         units = sweep._units(cfg)
         for block in sweep._blocks(units, sum(len(sweep._fills(u)) for u in units) // 16):
-            payload = sweep._run_block(split, block)
+            payload = sweep._run_block(fmt, block)
             assert len(payload) == len(block)
             for lines, picks in payload:
                 assert isinstance(picks, array)
@@ -1211,8 +1279,8 @@ def test_gv_unit_with_more_than_256_lines(tmp_path, monkeypatch):
     # itself makes every mu its own line, past what one byte can index
     monkeypatch.setattr(sweep, "shift_histogram", lambda G: {k: k for k in range(G.p)})
     cfg = gv_config(primes=[1009], orders=[1])
-    made, picks = sweep._shared(sweep._units(cfg)[0], dict)
-    assert picks.typecode == "L" and list(picks) == list(range(1008)) and len(made) == 1008
+    lines, picks = sweep._shared(sweep._units(cfg)[0], "jsonl")
+    assert picks.typecode == "L" and list(picks) == list(range(1008)) and len(lines) == 1008
     for fmt in ("jsonl", "csv"):
         out = tmp_path / f"out.{fmt}"
         assert write_sweep(cfg, fmt, str(out), jobs=1) == 0
