@@ -21,8 +21,11 @@ h(x, y) - alpha stays irreducible over the algebraic closure:
   normalized candidate divisor with coefficients in F_{p^d}, d <= d_max, and
   tests divisibility.  Linear candidates are first filtered by the root sets
   of one-variable slices of Q (its x-coefficient rows, Q(x, 0) and its top
-  form at y = 1).  Q's slices and its line-check terms are read once per
-  call and shared by every field searched.  A monomial slice has its roots
+  form at y = 1).  Only the two slices that hold the constant term, the x^0
+  row and Q(x, 0), are read per call.  The other slices, their roots and the
+  line-check terms are read once per shift family Q - alpha, from a cache
+  keyed by Q's non-constant terms, and shared by every level and field
+  searched and by Q's scalar multiples.  A monomial slice has its roots
   without evaluation; any other root set is found by evaluating the slice
   at one member of every Frobenius orbit that could hold a root, never by
   gcds or factoring: the oracle calls none of `squarefree_decomposition`,
@@ -40,7 +43,7 @@ import itertools
 from collections.abc import Mapping
 from functools import lru_cache
 from math import comb, gcd, inf
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ._record import record
 from .errors import (
@@ -251,9 +254,13 @@ class SquarefreeDecomposition:
 def _yun_dense(f: list[int], p: int) -> Iterator[tuple[list[int], int]]:
     """Yun's algorithm on a monic f with 1 <= deg f < p, so derivatives stay
     honest: yields f's nonconstant monic squarefree parts with their
-    multiplicities, lowest multiplicity first."""
+    multiplicities, lowest multiplicity first.  A squarefree f, gcd(f, f') =
+    1, is its own only part."""
     df = _derivative_dense(f, p)  # nonzero: 1 <= deg f < p
     g = _gcd_dense(f, df, p)
+    if len(g) == 1:
+        yield f, 1
+        return
     v = _divmod_dense(f, g, p)[0]
     w = _divmod_dense(df, g, p)[0]
     i = 1
@@ -638,8 +645,8 @@ def proper_power_form(h: BiPoly) -> PowerForm:
 
     Over the closure h splits into linear forms; m is the gcd of their
     multiplicities: the multiplicity of y (the root at infinity) and those
-    Yun's algorithm yields for h(t, 1), stopping once the gcd is 1.  Needs
-    deg h < p.
+    Yun's algorithm yields for h(t, 1), stopping once the gcd is 1, and not
+    run at all when y's multiplicity already is 1.  Needs deg h < p.
     """
     flag, n = is_homogeneous(h)
     if not flag:
@@ -650,7 +657,7 @@ def proper_power_form(h: BiPoly) -> PowerForm:
         raise DegreeVsCharacteristic(f"degree {n} >= characteristic {h.p}")
     p, top = h.p, h.deg_x
     m = n - top  # the multiplicity of y
-    if top:
+    if top and m != 1:
         # h(t, 1), made monic: each x^i y^(n-i) gives its coefficient to t^i
         inv = pow(h.coeffs[(top, n - top)], -1, p)
         H = [0] * (top + 1)
@@ -786,44 +793,123 @@ def _roots(F: ExtField, sl: _Slice) -> tuple[int, ...]:
     return _slice_roots(F.p, F.d, F.budget, s) if fixed is None else fixed
 
 
-def _line_terms(Q: BiPoly) -> list[list[tuple[int, int, int]]]:
-    """For each y^t with 0 < t < n that has any, Q's line-check terms
-    (F_p scalar, k, i - k)."""
-    p, n = Q.p, Q.total_degree
-    terms = [[] for _ in range(n + 1)]
-    for (i, j), c in Q.coeffs.items():
+def _line_terms(p: int, n: int, terms: Iterable[tuple[tuple[int, int], int]]) -> list[list[tuple[int, int, int]]]:
+    """For each y^t with 0 < t < n that has any, the line-check terms
+    (F_p scalar, k, i - k) of the terms ((i, j), c) of a Q of total degree
+    n.  A constant term has none, as 0 < j + k needs i + j >= 1."""
+    rows = [[] for _ in range(n + 1)]
+    for (i, j), c in terms:
         for k in range(max(0, 1 - j), min(i, n - 1 - j) + 1):  # 0 < j + k < n
             scalar = c * comb(i, k) % p
             if scalar:
-                terms[j + k].append((scalar, k, i - k))
-    return [row for row in terms if row]
+                rows[j + k].append((scalar, k, i - k))
+    return [row for row in rows if row]
 
 
-def _line_setup(Q: BiPoly) -> tuple[list[_Slice], _Slice, _Slice, Callable[[], list]]:
-    """What the linear search needs of Q in any field: its nonzero
-    x-coefficient rows (monomials first), Q(x, 0) and Q_n(x, 1) as
-    `_slice`s, and a call giving its `_line_terms`, built on the first call:
-    only a field with a surviving (b, g) pair reads them."""
-    n = Q.total_degree
-    rows: dict[int, dict[int, int]] = {}
-    x_slice: dict[int, int] = {}
-    top_slice: dict[int, int] = {}
-    for (i, j), c in Q.coeffs.items():
-        rows.setdefault(i, {})[j] = c
-        if not j:
-            x_slice[i] = c
-        if i + j == n:
-            top_slice[i] = c
-    slices = [_slice(row) for row in rows.values()]
-    slices.sort(key=lambda sl: sl[1] is None)
-    built: list[list] = []
+class _Family:
+    """What the linear search reads of Q that does not depend on its
+    constant term, so one entry serves every shift Q - alpha.
 
-    def terms() -> list:
-        if not built:
-            built.append(_line_terms(Q))
-        return built[0]
+    `rows` holds the x-coefficient rows sum_j c_ij y^j with i >= 1
+    (monomials first) and `top` the top form Q_n(x, 1), as `_slice`s;
+    `axes` holds the coefficients of y^1.. in Q(0, y) and of x^1.. in
+    Q(x, 0).  Per field it keeps the common roots of `rows`, the roots of
+    `top` and the logged line-check terms, each found on first use; the
+    `_line_terms` themselves are built at most once.  A field is keyed by
+    its degree d, since the codes of F_{p^d} depend on p and d alone.  It
+    holds ints and tuples only, never an `ExtField`.
+    """
 
-    return slices, _slice(x_slice), _slice(top_slice), terms
+    __slots__ = ("p", "n", "terms", "rows", "top", "axes", "_lines", "_common", "_tops", "_logged")
+
+    def __init__(self, p: int, n: int, terms: frozenset):
+        rows: dict[int, dict[int, int]] = {}
+        top: dict[int, int] = {}
+        axes = ([0] * (n + 1), [0] * (n + 1))
+        for (i, j), c in terms:
+            if i:
+                rows.setdefault(i, {})[j] = c
+                if not j:
+                    axes[1][i] = c
+            else:
+                axes[0][j] = c
+            if i + j == n:
+                top[i] = c
+        self.p, self.n, self.terms = p, n, terms
+        self.rows = sorted((_slice(row) for row in rows.values()), key=lambda sl: sl[1] is None)
+        self.top = _slice(top)
+        self.axes = tuple(tuple(_trim(axis)[1:]) for axis in axes)
+        self._lines: Optional[list] = None
+        self._common: dict[int, frozenset[int]] = {}
+        self._tops: dict[int, tuple[int, ...]] = {}
+        self._logged: dict[int, list] = {}
+
+    def axis(self, var: int, c0: int) -> _Slice:
+        """Q(0, y) (var 0) or Q(x, 0) (var 1) as a `_slice`, for Q's
+        constant term c0; it must not be zero."""
+        tail = self.axes[var]
+        if not c0:
+            return _slice({k: c for k, c in enumerate(tail, 1) if c})
+        return ((c0,) + tail, None) if tail else (None, ())
+
+    def common(self, F: ExtField) -> frozenset[int]:
+        """Codes of F where every row vanishes; needs some row."""
+        common = self._common.get(F.d)
+        if common is None:
+            for row in self.rows:
+                roots = _roots(F, row)
+                common = frozenset(roots) if common is None else common.intersection(roots)
+                if not common:
+                    break
+            self._common[F.d] = common
+        return common
+
+    def top_roots(self, F: ExtField) -> tuple[int, ...]:
+        bs = self._tops.get(F.d)
+        if bs is None:
+            bs = self._tops[F.d] = _roots(F, self.top)
+        return bs
+
+    def logged(self, F: ExtField) -> list[list[tuple[int, int, int]]]:
+        """The line-check terms with each scalar replaced by its log in F."""
+        logged = self._logged.get(F.d)
+        if logged is None:
+            if self._lines is None:
+                self._lines = _line_terms(self.p, self.n, self.terms)
+            log = F.log
+            logged = self._logged[F.d] = [[(log[s], k, r) for s, k, r in row] for row in self._lines]
+        return logged
+
+
+@lru_cache(maxsize=ROOT_CACHE_SIZE)
+def _family(p: int, n: int, terms: frozenset) -> tuple[_Family, int]:
+    """(the `_Family` of s*Q, s) for the Q over F_p of total degree n whose
+    non-constant terms are `terms`, a frozenset of ((i, j), c); s makes the
+    coefficient of Q's largest non-constant monomial 1.  Keyed by value, so
+    equal polynomials and every shift Q - alpha share the entry, and every
+    scalar multiple of Q shares the `_Family`: Q and s*Q have the same
+    divisors."""
+    s = pow(max(terms)[1], -1, p)
+    return _scaled_family(p, n, frozenset((k, c * s % p) for k, c in terms)), s
+
+
+@lru_cache(maxsize=ROOT_CACHE_SIZE)
+def _scaled_family(p: int, n: int, terms: frozenset) -> _Family:
+    """The one `_Family` of each scaled term set; see `_family`."""
+    return _Family(p, n, terms)
+
+
+def _line_setup(Q: BiPoly) -> tuple[_Family, _Slice, _Slice]:
+    """What the linear search needs of Q in any field: the `_Family` that
+    `_family` gives Q, shared by every shift and scalar multiple of Q, and
+    the two slices that hold the constant term, Q(0, y) (the x^0 row) and
+    Q(x, 0), scaled like that `_Family`, as `_slice`s.  Neither may be
+    zero: the caller settles x | Q and y | Q."""
+    terms = dict(Q.coeffs)
+    c0 = terms.pop((0, 0), 0)
+    family, s = _family(Q.p, Q.total_degree, frozenset(terms.items()))
+    c0 = c0 * s % Q.p
+    return family, family.axis(0, c0), family.axis(1, c0)
 
 
 def _linear_search(lines, F: ExtField) -> bool:
@@ -845,26 +931,25 @@ def _linear_search(lines, F: ExtField) -> bool:
       the Zech table, and the pair is a divisor when every coefficient
       vanishes.
 
-    Q(x, 0) is nonzero here: divisibility by y is handled by the caller.
-    `factor_oracle` runs `_line_setup` once per Q and this once per field.
+    Only the x^0 row and Q(x, 0) hold the constant term; every other root
+    set and the logged terms come from Q's `_Family`, found once per field
+    for all shifts of Q.  `factor_oracle` runs this once per field.
     """
-    rows, x_slice, top_slice, terms = lines
-    common: Optional[set[int]] = None
-    for row in rows:
-        roots = _roots(F, row)
-        common = set(roots) if common is None else common.intersection(roots)
-        if not common:
-            break
-    if common:
+    family, y_axis, x_axis = lines
+    if family.rows:  # the x^0 row must share a root with the others
+        common = family.common(F)
+        if common and not common.isdisjoint(_roots(F, y_axis)):
+            return True
+    elif _roots(F, y_axis):
         return True
-    gs = _roots(F, x_slice)
+    gs = _roots(F, x_axis)
     if not gs:
         return False
-    bs = _roots(F, top_slice)
+    bs = family.top_roots(F)
     if not bs:
         return False
     log, zech, m = F.log, F.zech, F.q - 1
-    logged = [[(log[s], k, r) for s, k, r in row] for row in terms()]
+    logged = family.logged(F)
     for b, g in itertools.product(bs, gs):
         lb, lg = log[b], log[g]
         for row in logged:
@@ -961,14 +1046,16 @@ def factor_oracle(
         raise ValueError("d_max must be >= 1")
     if n <= 1:
         return False
-    # divisibility by the axes themselves
-    if all(j >= 1 for _, j in Q.coeffs):
-        return True  # y | Q
-    if all(i >= 1 for i, _ in Q.coeffs):
-        return True  # x | Q
+    # divisibility by the axes themselves, which a constant term rules out
+    if (0, 0) not in Q.coeffs:
+        if all(j >= 1 for _, j in Q.coeffs):
+            return True  # y | Q
+        if all(i >= 1 for i, _ in Q.coeffs):
+            return True  # x | Q
     p, lines = Q.p, _line_setup(Q)
+    nested = min(d_max, EXT_MAX_DEGREE)
     for d in range(1, d_max + 1):
-        if 2 * d <= min(d_max, EXT_MAX_DEGREE) and p ** (2 * d) <= ext_budget:
+        if 2 * d <= nested and p ** (2 * d) <= ext_budget:
             continue  # F_{p^d} lies in F_{p^(2d)}
         if _linear_search(lines, ext_field(p, d, ext_budget)):
             return True

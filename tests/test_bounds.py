@@ -205,6 +205,34 @@ def test_level_pair_bound_met_instance():
     assert v.rhs == pytest.approx(24 * d ** (2 / 3), rel=1e-12)
 
 
+def test_admitted_window_low_end_is_strict():
+    # 100 n^3 < |G| at n = 1: |G| = 100 at p = 90 001 sits on it (the upper
+    # end 9 |G|^2 < p holds by 1), |G| = 101 is just past it.  vm's
+    # level-count clause comes after the window, so reaching it at |G| = 101
+    # shows the window admitted that subgroup
+    on = subgroup_of_order(make_prime(90001), 100)
+    past = subgroup_of_order(smallest_admitted_prime(101), 101)
+    for G, t2_reason, vm_reason in ((on, "not-admitted", "not-admitted"),
+                                    (past, "", "level-count-bound")):
+        P = parse_bipoly("x+y", G.prime)
+        assert verify_image_lower_bound(P, G).premise_reason == t2_reason, G.order
+        assert verify_level_pair_bound(P, G, value_set(G.prime, [2])).premise_reason == vm_reason, G.order
+
+
+def test_level_count_bound_is_strict():
+    # h * 40^3 * n^9 < |G|^2 at n = 1, |G| = 800: h = 10 sits on it
+    # (640 000 = 800^2), h = 9 is inside.  p = 5 761 601 is the smallest
+    # p = 1 (mod 800) past 9 * 800^2 = 5 760 000, so the subgroup is admitted
+    prime = smallest_admitted_prime(800)
+    assert int(prime) == 5761601
+    G = subgroup_of_order(prime, 800)
+    P = parse_bipoly("x+y", prime)
+    inside = verify_level_pair_bound(P, G, value_set(prime, range(1, 10)))
+    on = verify_level_pair_bound(P, G, value_set(prime, range(1, 11)))
+    assert inside.premise_ok and inside.holds is True
+    assert not on.premise_ok and on.premise_reason == "level-count-bound"
+
+
 def test_shift_overlap_examples():
     v = verify_shift_overlap_bound(G3, 1)
     assert v.inequality == "gv"

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import types
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,8 +16,8 @@ from sumprod.errors import (
     ZeroPolynomial,
     ZeroShift,
 )
-from sumprod import poly
-from sumprod.field import ext_field, make_prime
+from sumprod import field, poly
+from sumprod.field import ExtField, ext_field, make_prime
 from sumprod.poly import (
     BiPoly,
     UniPoly,
@@ -581,9 +583,12 @@ def _reference_survivors(Q, F, roots_of):
 
 
 def test_line_terms_are_built_at_most_once_and_only_for_surviving_pairs(monkeypatch):
-    # every cubic form over F_5 shifted by 1 and 2, and a seeded sample of
-    # cubic and quadratic forms over F_7, searched with d_max 3 (F_25 and
-    # F_125, or F_49 and F_343)
+    # every cubic form over F_5 and a seeded sample of cubic and quadratic
+    # forms over F_7, each shifted by 1 and 2 and searched with d_max 3
+    # (F_25 and F_125, or F_49 and F_343).  Both shifts share one family, so
+    # a form builds its terms at most once, and only when some level leaves
+    # some field a (b, g) pair.  The caches are cleared for each form, as
+    # its scalar multiples share its family
     memo = {}
 
     def roots_of(coeffs, F):
@@ -595,23 +600,150 @@ def test_line_terms_are_built_at_most_once_and_only_for_surviving_pairs(monkeypa
     rng = random.Random("line-terms")
     forms = [(5, vec) for vec in itertools.product(range(5), repeat=4) if any(vec)]
     forms += [(7, tuple(rng.randrange(7) for _ in range(n + 1))) for n in (2, 3) for _ in range(40)]
+    forms = [(p, vec) for p, vec in dict.fromkeys(forms) if any(vec)]
     built, searched = [], []
     real_terms, real_search = poly._line_terms, poly._linear_search
-    monkeypatch.setattr(poly, "_line_terms", lambda Q: built.append(Q) or real_terms(Q))
+    monkeypatch.setattr(poly, "_line_terms", lambda *args: built.append(args) or real_terms(*args))
     monkeypatch.setattr(poly, "_linear_search",
                         lambda lines, F: searched.append(F) or real_search(lines, F))
     seen = set()
     for p, vec in forms:
         n = len(vec) - 1
         h = BiPoly(p, {(n - j, j): c for j, c in enumerate(vec)})
+        poly._family.cache_clear()
+        poly._scaled_family.cache_clear()
+        del built[:]
+        want = False
         for alpha in (1, 2):
             Q = h.shift_const(alpha)
-            del built[:], searched[:]
+            del searched[:]
             factor_oracle(Q, 3)
-            want = any(_reference_survivors(Q, F, roots_of) for F in searched)
-            assert len(built) == want, (p, vec, alpha)
-            seen.add(want)
+            want = want or any(_reference_survivors(Q, F, roots_of) for F in searched)
+        assert len(built) == want, (p, vec)
+        seen.add(want)
     assert seen == {False, True}
+
+
+def test_one_family_per_form_across_every_level():
+    # census-style: every form of degree 2 and 3 over F_5 and of degree 2
+    # over F_7 at every nonzero level builds its family once, the shared
+    # family gives the criterion's answer at each level, and the forms'
+    # scalar multiples share one scaled family: one per form with 1 as the
+    # coefficient of its largest monomial
+    poly._family.cache_clear()
+    poly._scaled_family.cache_clear()
+    for p, n in ((5, 2), (5, 3), (7, 2)):
+        before = poly._scaled_family.cache_info().misses
+        for vec in itertools.product(range(p), repeat=n + 1):
+            if not any(vec):
+                continue
+            h = BiPoly(p, {(n - j, j): c for j, c in enumerate(vec)})
+            misses = poly._family.cache_info().misses
+            for alpha in range(1, p):
+                assert factor_oracle(h.shift_const(alpha), 3) is not abs_irreducible_shift(h, alpha), (vec, alpha)
+            assert poly._family.cache_info().misses == misses + 1, (p, vec)
+        # the forms whose first nonzero coefficient is 1
+        assert poly._scaled_family.cache_info().misses - before == (p ** (n + 1) - 1) // (p - 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_family_keeps_each_field_apart(p):
+    # one family searched over F_p, F_{p^2}, F_{p^3} in both orders: with r
+    # a non-residue, (y^2 - r)(x^2 + y + 1) has the divisors y -+ sqrt(r),
+    # common roots of its rows, and (x - 1)^2 - r y^2 the lines
+    # x - (+-sqrt(r) y + 1), from the top form's roots, both only over
+    # F_{p^2}; and a seeded sample of forms whose (b, g) pairs survive in
+    # more than one field
+    r = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    x, y = BiPoly.variable("x", p), BiPoly.variable("y", p)
+    one = BiPoly.const(p, 1)
+    split = [(y * y - BiPoly.const(p, r)) * (x * x + y + one), (x - one) * (x - one) - (y * y).scale(r)]
+    for Q in split + [Q for q, Q in _ZERO_ROOT_FORMS if q == p]:
+        want = {d: _ref_linear_factor_exists(Q, ext_field(p, d)) for d in (1, 2, 3)}
+        if Q in split:
+            assert want == {1: False, 2: True, 3: False}, Q
+        for order in ((1, 2, 3), (3, 2, 1)):
+            poly._family.cache_clear()
+            poly._scaled_family.cache_clear()
+            assert {d: _linear_search(_line_setup(Q), ext_field(p, d)) for d in order} == want, (Q, order)
+
+
+def test_family_reads_its_slices_once_per_field(monkeypatch):
+    # across the levels of a cubic over F_49 and F_343 each of the family's
+    # rows and its top form is read at most once per field, and its logged
+    # terms are one list per field: a level reads its two axis slices
+    p = 7
+    x, y = BiPoly.variable("x", p), BiPoly.variable("y", p)
+    h = (x + y) * (x + y.scale(2)) * (x + y.scale(3))
+    poly._family.cache_clear()
+    poly._scaled_family.cache_clear()
+    family = _line_setup(h.shift_const(1))[0]
+    own = [*family.rows, family.top]
+    reads, axis_reads = [], []
+    real_roots = poly._roots
+
+    def roots(F, sl):
+        hits = [(F.d, k) for k, o in enumerate(own) if sl is o]
+        (reads if hits else axis_reads).extend(hits or [F.d])
+        return real_roots(F, sl)
+
+    monkeypatch.setattr(poly, "_roots", roots)
+    logged = {}
+    for alpha in range(1, p):
+        lines = _line_setup(h.shift_const(alpha))
+        for F in (ext_field(p, 2), ext_field(p, 3)):
+            del axis_reads[:]
+            _linear_search(lines, F)
+            assert len(axis_reads) <= 2, (alpha, F)
+            if family._lines is not None:
+                assert logged.setdefault(F.d, family.logged(F)) is family.logged(F)
+    assert reads and len(reads) == len(set(reads))
+    assert (2, len(own) - 1) in reads and logged  # the top form, and some (b, g) pair
+
+
+def _reaches(obj, kind):
+    """Whether an object of `kind` can be reached from obj through its
+    references, not counting types, functions and modules."""
+    stack, seen = [obj], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.FunctionType, types.ModuleType)):
+            continue
+        if isinstance(obj, kind):
+            return True
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return False
+
+
+def test_family_cache_is_keyed_by_value_and_holds_no_field():
+    # one family for the same cubic built in two term orders and for every
+    # shift of it, and one scaled family for its scalar multiples; after the
+    # field cache is cleared no family reaches an ExtField, although the
+    # searches filled every per-field entry
+    p = 7
+    x, y = BiPoly.variable("x", p), BiPoly.variable("y", p)
+    h = (x + y) * (x + y.scale(2)) * (x + y.scale(3))
+    reordered = BiPoly(p, dict(reversed(list(h.coeffs.items()))))
+    assert reordered == h and list(reordered.coeffs) != list(h.coeffs)
+    poly._family.cache_clear()
+    poly._scaled_family.cache_clear()
+    shifts = [P.shift_const(alpha) for P in (h, reordered) for alpha in range(1, p)]
+    families = [_line_setup(Q)[0] for Q in shifts]
+    assert all(f is families[0] for f in families)
+    assert poly._family.cache_info().misses == 1
+    multiples = [h.scale(c).shift_const(alpha) for c in range(2, p) for alpha in range(1, p)]
+    assert all(_line_setup(Q)[0] is families[0] for Q in multiples)
+    assert poly._family.cache_info().misses == p - 1 and poly._scaled_family.cache_info().misses == 1
+    searched = [(Q, d_max) for Q in shifts for d_max in (1, 2, 3)]
+    searched += [(parse_bipoly(text, make_prime(p)), 2) for text in ("x^2-y^2-1", "x*y+y^2+x+3", "y^2+3")]
+    for Q, d_max in searched:
+        factor_oracle(Q, d_max)
+    families += [_line_setup(Q)[0] for Q, _ in searched]
+    assert any(f._logged for f in families)  # a (b, g) pair was checked
+    field._ext_field_cached.cache_clear()
+    gc.collect()
+    assert not any(_reaches(f, ExtField) for f in families)
 
 
 def _roots_by_evaluation(coeffs, F):

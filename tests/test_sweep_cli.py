@@ -629,6 +629,17 @@ def test_cli_verify_thmap(capsys):
     assert data["premise"].startswith("not-met")
 
 
+def test_cli_verify_thmap_c1_bound_is_strict(capsys):
+    # c1 = 2^(2n) * max(m)^(4n) = 16 for two linear fs: |G| = 16 at p = 97
+    # sits on c1 < |G|, |G| = 17 at p = 137 is past it and inside the upper
+    # window (17^5 * 3^4 < 137^4)
+    for p, order, premise in ((97, 16, "not-met(subgroup-too-small)"), (137, 17, "met")):
+        argv = ["verify", "thmap", "--p", str(p), "--order", str(order),
+                "--fs", "x+1;x+5", "--cosets", "1,1", "--format", "json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["premise"] == premise, p
+
+
 def test_cli_extract(capsys):
     rc = main(["extract-permissible", "--p", "13", "--poly", "x+y", "--ys", "1,2,3,4,5"])
     assert rc == 0
