@@ -993,13 +993,13 @@ def _divides_bivariate(Q: dict[tuple[int, int], int], R: dict[tuple[int, int], i
     return True
 
 
-def _quadratic_factor_exists(Q: BiPoly, F: ExtField, max_candidates: int) -> bool:
+def _quadratic_factor_exists(Q: BiPoly, F: ExtField) -> bool:
     """Any total-degree-2 divisor with coefficients in F (full enumeration)."""
     q = F.q
     total = q**5 + q**4 + q**3
-    if total > max_candidates:
+    if total > DEFAULT_QUAD_CANDIDATES:
         raise BudgetExceeded(
-            f"quadratic factor enumeration needs {total} candidates (cap {max_candidates})"
+            f"quadratic factor enumeration needs {total} candidates (cap {DEFAULT_QUAD_CANDIDATES})"
         )
     Qc = dict(Q.coeffs)
     for lead_idx, lead in enumerate(_GLEX_LEADS):
@@ -1014,13 +1014,7 @@ def _quadratic_factor_exists(Q: BiPoly, F: ExtField, max_candidates: int) -> boo
     return False
 
 
-def factor_oracle(
-    Q: BiPoly,
-    d_max: int,
-    *,
-    ext_budget: int = EXT_ELEMENT_BUDGET,
-    max_candidates: int = DEFAULT_QUAD_CANDIDATES,
-) -> bool:
+def factor_oracle(Q: BiPoly, d_max: int, *, ext_budget: int = EXT_ELEMENT_BUDGET) -> bool:
     """Brute-force reducibility over extensions: True iff some polynomial of
     total degree in [1, deg Q - 1] with coefficients in F_{p^d}, d <= d_max,
     divides Q.
@@ -1062,7 +1056,7 @@ def factor_oracle(
     if n == 4:
         for d in range(1, min(2, d_max) + 1):
             F = ext_field(Q.p, d, ext_budget)
-            if _quadratic_factor_exists(Q, F, max_candidates):
+            if _quadratic_factor_exists(Q, F):
                 return True
     return False
 

@@ -4,17 +4,15 @@ instance of any kind; `run_instance` turns its result into a record.
 
 The kinds live in one table, `_KINDS`, with one entry per kind: its params
 with their rules and defaults, what it requires of a config, how it builds
-the units of one subgroup, its detail text, its runner, its records per
-unit, and the CLI command that checks one instance.  Nothing else in the
-sweep or the CLI branches on the kind.
+the units of one subgroup, its detail text, its runner, the field its units
+fan out over and what their records share, and the CLI command that checks
+one instance.  Nothing else in the sweep or the CLI branches on the kind.
 
-A gv work unit is one subgroup (p, |G|) with a segment of its shifts mu;
-every other unit is one instance.  One function, `_shared`, turns any unit
-into its distinct report lines and one small index per record.  A gv
-record depends on mu only through lhs = |G ∩ (G + mu)|, which
-a gv unit reads for each mu from one key histogram per subgroup
-(`shift_histogram`) with one pow and one lookup; each lhs value is
-evaluated and rendered once, with a placeholder where mu goes.
+A work unit is one record, or one per value in its fan field (a gv unit is
+one subgroup with a segment of its shifts).  One function, `_shared`, turns
+any unit into its distinct report lines and one small index per record:
+records with the same share value (for gv, |G ∩ (G + mu)|) share a line,
+evaluated and rendered once with a placeholder where the value goes.
 `generate_instances` expands the same units into one instance per record.
 
 Determinism contract: a config plus its seed pins the full unit list and
@@ -23,12 +21,12 @@ count.  Randomness is drawn from a fresh generator seeded per instance
 (never from a shared stream), and the units are sorted into report order,
 by (p, order, poly) with ties in generation order, before fan-out.  The
 sorted units are cut into contiguous blocks of equally many records,
-splitting a subgroup's shifts where a block ends; each block runs in one
+splitting a fan field where a block ends; each block runs in one
 worker, at most one per block or per CPU this process may run on, and the
 parent consumes the blocks in order, so a report streams out block by
 block and the parent never holds every record.  A worker sends back only
 the templates and indices; the parent, which built the block and so holds
-the shifts, splices them in, unit by unit, in `_splice`, the one place a
+the fills, splices them in, unit by unit, in `_splice`, the one place a
 fill goes into a record: `write_sweep` writes its text, and `run_sweep`
 reads the same jsonl lines back.  The payload is a few percent of the
 text, and unlike per-worker block files it leaves no temporary files to
@@ -188,8 +186,6 @@ class SweepConfig:
                 parse_bipoly(text, _SYNTAX_CHECK_PRIME)
             except (ParseError, DegreeOverflow) as e:
                 raise ConfigError(f"polys[{i}]: {text!r}: {e}") from None
-        if entry["polys"] and not polys_raw:
-            raise ConfigError(f"polys: {kind} sweeps need at least one expression")
         if entry["polys"] == "required":  # a factor in one variable can appear mod p only
             for i, text in enumerate(polys_raw):
                 for p in primes:
@@ -213,6 +209,9 @@ class SweepConfig:
                 raise ConfigError(f"params.{name}: need a positive integer, got {value!r}")
             if rule == "fraction" and not 0 < value < 1:
                 raise ConfigError(f"params.{name}: need a number in (0, 1), got {value!r}")
+        if bool(polys_raw) != bool(entry["polys"]):  # after params, so their errors come first
+            want = "need at least one expression" if entry["polys"] else f"read none, got {len(polys_raw)}"
+            raise ConfigError(f"polys: {kind} sweeps {want}")
 
         seed = data.get("seed", 0)
         if not _is_int(seed) or not 0 <= seed < 2**64:
@@ -311,6 +310,14 @@ def _gv_units(cfg: SweepConfig, p: int, d: int, poly: str, mu_sample: int | None
     yield {"mus": mus}
 
 
+def _gv_share(unit: dict) -> list[int]:
+    """Per shift mu its lhs = |G ∩ (G + mu)|, all a gv record reads of mu:
+    the count of mu's coset key mu^|G| mod p in shift_histogram(G)."""
+    p, d = unit["p"], unit["order"]
+    counts = shift_histogram(_subgroup(p, d))
+    return [counts.get(pow(mu, d, p), 0) for mu in unit["mus"]]
+
+
 def _thmap_units(cfg: SweepConfig, p: int, d: int, poly: str, pair_count: int):
     """pair_count families x+lo, x+hi, each with its coefficient tuples, so
     no record parses its poly text."""
@@ -339,19 +346,22 @@ def _probe_units(
 
 
 def _kind(run, units=lambda cfg, p, d, poly: ({},), detail=lambda inst: "",
-          fills=lambda unit: ("",), params={}, polys="", min_order=1, prime_bits=64,
-          command="verify", name="", flags=()) -> dict:
+          fan=("", ""), share=lambda unit: ("",), params={}, polys="", min_order=1,
+          prime_bits=64, command="verify", name="", flags=()) -> dict:
     """One entry of `_KINDS`: its arguments by name.
 
     units(cfg, p, d, poly, **params) yields the fields after (p, order,
     poly) of the units of one subgroup and poly ("" unless the kind reads
     polys; thmap sets its own).  run(inst, G, P) calls the kind's `bounds`
-    function, P the parsed poly if the kind reads polys.  fills(unit) has
-    one entry per record.  params maps each param to its rule ("count": a
-    positive integer, "fraction": in (0, 1)) and default.  polys: "needed"
-    if a config must list one, "required" if each must also be nonzero with
-    no single-variable factor mod every prime.  `sumprod <command> <name or
-    kind>` checks one instance with the options in flags, in this order.
+    function, P the parsed poly if the kind reads polys.  fan: the unit
+    field with one value per record and the instance field each becomes;
+    the default names none, so a unit is one record with the value "".
+    share(unit) has per record what its line depends on apart from that.  params maps each
+    param to its rule ("count": a positive integer, "fraction": in (0, 1))
+    and default.  polys: "needed" if a config must list one, "required" if
+    each must also be nonzero with no single-variable factor mod every
+    prime.  `sumprod <command> <name or kind>` checks one instance with the
+    options in flags, in this order.
     """
     return locals()
 
@@ -377,7 +387,8 @@ _KINDS = {
         units=_gv_units,
         run=lambda inst, G, P: verify_shift_overlap_bound(G, inst["mu"]),
         detail=lambda inst: f"mu={inst['mu']}",
-        fills=lambda unit: unit["mus"],
+        fan=("mus", "mu"),
+        share=_gv_share,
         params={"mu_sample": ("count", None)},  # None: every shift
         prime_bits=63,  # len(range(1, p)) is a C ssize_t
         flags=("mu",),
@@ -436,30 +447,34 @@ def _units(cfg: SweepConfig) -> list[dict]:
     ]
     # generation order is already deterministic and numerically natural, so
     # the stable sort only needs the coarse key; ties keep their enumeration
-    # order (e.g. mu=2 stays ahead of mu=10)
+    # order (e.g. vm's alpha sets stay in draw order)
     out.sort(key=lambda unit: (unit["p"], unit["order"], unit["poly"]))
     return out
 
 
-# stands for mu in the detail of a shared gv record.  No field of any record
-# can hold it: poly text passes the parser, which accepts only x y 0-9 + - * ^
-# ( ) and whitespace; detail holds integers; premise reasons are fixed strings
-# or budget messages.  Neither JSON nor CSV escapes or quotes it.
+# stands for the fan value in the detail of a shared record.  No field of
+# any record can hold it: poly text passes the parser, which accepts only
+# x y 0-9 + - * ^ ( ) and whitespace; detail holds integers; premise reasons
+# are fixed strings or budget messages.  Neither JSON nor CSV escapes or quotes it.
 _MU = "<mu>"
 
 
 def _fills(unit: dict) -> Sequence:
-    """One entry per record of a unit, put where _MU stands: the shifts of a
-    gv unit, nothing for the one record of any other unit."""
-    return _KINDS[unit["kind"]]["fills"](unit)
+    """One entry per record of a unit, put where _MU stands: the values in
+    its fan field, or "" for the one record of a unit without one."""
+    return unit.get(_KINDS[unit["kind"]]["fan"][0], ("",))
+
+
+def _at(unit: dict, fill) -> dict:
+    """The instance of a unit's record at fill: the unit without its fan
+    field and with fill in the instance field (a copy if it has none)."""
+    over, each = _KINDS[unit["kind"]]["fan"]
+    return {k: v for k, v in {**unit, each: fill}.items() if k != over}
 
 
 def _expand(unit: dict) -> list[dict]:
     """A unit's instances, one per record."""
-    if "mus" not in unit:
-        return [unit]
-    inst = {k: v for k, v in unit.items() if k != "mus"}
-    return [{**inst, "mu": mu} for mu in unit["mus"]]
+    return [_at(unit, fill) for fill in _fills(unit)]
 
 
 def generate_instances(cfg: SweepConfig) -> list[dict]:
@@ -542,47 +557,34 @@ def _shared(unit: dict, fmt: str) -> tuple[list, array]:
     """A unit's distinct report lines, each as _split_line(fmt, record)
     gives it, and per fill the index of its own.
 
-    A one-instance unit gives its one line and the index 0.  In a gv unit,
-    lhs = |G ∩ (G + mu)| is the count of mu's coset key mu^|G| mod p in
-    shift_histogram(G).  Each lhs value is evaluated and rendered once, at
-    one mu that has it, with "mu=<mu>" as its detail.  The indices take one
-    byte each while there are at most 256 lines, as there almost always are.
+    Each distinct share value is evaluated and rendered once, at the first
+    fill that has it, with _MU in the fill's place; a one-record unit gives
+    its one line and the index 0.  The indices take one byte each while
+    there are at most 256 lines, as there almost always are.
     """
-    if "mus" not in unit:
-        return [_split_line(fmt, run_instance(unit))], array("B", [0])
-    p, d, mus = unit["p"], unit["order"], unit["mus"]
-    counts = shift_histogram(_subgroup(p, d))
-    inst = {k: v for k, v in unit.items() if k != "mus"}
-    shared = {**inst, "mu": _MU}
-    keys = [pow(mu, d, p) for mu in mus]
-    mu_of = dict(zip(keys, mus))  # coset key -> one mu with that key
+    fills, shares = _fills(unit), _KINDS[unit["kind"]]["share"](unit)
+    index = dict.fromkeys(shares)  # share -> its line, in order of appearance
     lines: list = []
-    by_lhs: dict[int, int] = {}
-    line_of: dict[int, int] = {}  # coset key -> index into lines
-    for key in dict.fromkeys(keys):
-        lhs = counts.get(key, 0)
-        i = by_lhs.get(lhs)
-        if i is None:
-            i = by_lhs[lhs] = len(lines)
-            rec = _fill(_base_record(shared), _outcome({**inst, "mu": mu_of[key]}))
-            lines.append(_split_line(fmt, rec))
-        line_of[key] = i
-    return lines, array("B" if len(lines) <= 256 else "L", map(line_of.__getitem__, keys))
+    for value in index:
+        index[value] = len(lines)
+        rec = _fill(_base_record(_at(unit, _MU)), _outcome(_at(unit, fills[shares.index(value)])))
+        lines.append(_split_line(fmt, rec))
+    return lines, array("B" if len(lines) <= 256 else "L", map(index.__getitem__, shares))
 
 
 def _blocks(units: list[dict], size: int) -> list[list[dict]]:
     """The units cut into blocks of `size` records (the last may be short);
-    a gv unit whose shifts cross a block boundary is split there."""
+    a unit whose fan field crosses a block boundary is split there."""
     blocks: list[list[dict]] = []
     room = 0
     for unit in units:
-        n, done = len(_fills(unit)), 0
+        over, n, done = _KINDS[unit["kind"]]["fan"][0], len(_fills(unit)), 0
         while done < n:
             if room == 0:
                 blocks.append([])
                 room = size
             take = min(room, n - done)
-            blocks[-1].append(unit if take == n else {**unit, "mus": unit["mus"][done : done + take]})
+            blocks[-1].append(unit if take == n else {**unit, over: unit[over][done : done + take]})
             done += take
             room -= take
     return blocks
@@ -599,9 +601,9 @@ def _block_results(fmt: str, cfg: SweepConfig, jobs: int | None) -> Iterator[Ite
 
     The units are generated on entry, so a config that cannot be enumerated
     fails before the caller opens any output.  They run in contiguous blocks
-    that all hold the same number of records but the last, so a gv sweep
-    balances as if each shift were its own unit, and no result carries a
-    unit's shifts back.  The pool starts no more workers than there are
+    that all hold the same number of records but the last, so a sweep
+    balances as if each record were its own unit, and no result carries a
+    unit's fills back.  The pool starts no more workers than there are
     blocks or CPUs this process may run on, and each worker gets about eight
     blocks; with one worker the blocks run in this process.  A worker that
     dies is a WorkbenchError.  Leaving the context early cancels the blocks

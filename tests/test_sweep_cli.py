@@ -95,6 +95,16 @@ def test_config_rejects_bad_params(kind, params, where):
     assert str(exc.value).startswith(where)
 
 
+@pytest.mark.parametrize("kind", ["gv", "thmap", "growth"])
+def test_config_rejects_polys_on_kinds_that_read_none(kind):
+    # they used to load and drop the polys; an empty list still loads
+    doc = {"inequality": kind, "primes": [13], "orders": [3], "polys": ["x+y", "x^2"]}
+    with pytest.raises(ConfigError) as exc:
+        SweepConfig.from_json(doc)
+    assert str(exc.value) == f"polys: {kind} sweeps read none, got 2"
+    assert SweepConfig.from_json({**doc, "polys": []}).polys == ()
+
+
 @pytest.mark.parametrize(
     "over, where",
     [
@@ -636,6 +646,15 @@ def test_cli_verify_thmap_c1_bound_is_strict(capsys):
     for p, order, premise in ((97, 16, "not-met(subgroup-too-small)"), (137, 17, "met")):
         argv = ["verify", "thmap", "--p", str(p), "--order", str(order),
                 "--fs", "x+1;x+5", "--cosets", "1,1", "--format", "json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["premise"] == premise, p
+
+
+def test_cli_verify_gv_size_window(capsys):
+    # |G|^4 (p-1) < s^4 with s = p - 1 - |G|: s = 6 |G| at both, so the
+    # clause reads (p-1)/1296 < 1, 0.9938 at p = 1289 and 1.0046 at p = 1303
+    for p, order, premise in ((1289, 184, "met"), (1303, 186, "not-met(size-window)")):
+        argv = ["verify", "gv", "--p", str(p), "--order", str(order), "--mu", "1", "--format", "json"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["premise"] == premise, p
 
