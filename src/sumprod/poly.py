@@ -16,16 +16,17 @@ h(x, y) - alpha stays irreducible over the algebraic closure:
   linear forms over the closure, and the shifted polynomial is reducible
   exactly when h is a scalar times a proper power of a lower-degree form.
   The gcd of the multiplicities is read off a squarefree decomposition of
-  h(t, 1), which needs deg h < p.
+  h(t, 1), which needs deg h < p, once per form up to a unit.
 * `factor_oracle` knows nothing about that criterion: it enumerates every
   normalized candidate divisor with coefficients in F_{p^d}, d <= d_max, and
   tests divisibility.  Linear candidates are first filtered by the root sets
   of one-variable slices of Q (its x-coefficient rows, Q(x, 0) and its top
   form at y = 1).  Only the two slices that hold the constant term, the x^0
-  row and Q(x, 0), are read per call.  The other slices, their roots and the
-  line-check terms are read once per shift family Q - alpha, from a cache
-  keyed by Q's non-constant terms, and shared by every level and field
-  searched and by Q's scalar multiples.  A monomial slice has its roots
+  row and Q(x, 0), are read per search.  The other slices, their roots and
+  the line-check terms are read once per shift family Q - alpha, from a
+  cache keyed by Q's non-constant terms, and shared by every level and field
+  searched and by Q's scalar multiples; the family also keeps each level's
+  answer, so Q is searched once up to a unit.  A monomial slice has its roots
   without evaluation; any other root set is found by evaluating the slice
   at one member of every Frobenius orbit that could hold a root, never by
   gcds or factoring: the oracle calls none of `squarefree_decomposition`,
@@ -646,7 +647,11 @@ def proper_power_form(h: BiPoly) -> PowerForm:
     Over the closure h splits into linear forms; m is the gcd of their
     multiplicities: the multiplicity of y (the root at infinity) and those
     Yun's algorithm yields for h(t, 1), stopping once the gcd is 1, and not
-    run at all when y's multiplicity already is 1.  Needs deg h < p.
+    run at all when y's multiplicity already is 1.  Needs deg h < p.  h is
+    checked on every call, and the answer then read from the criterion's own
+    cache of up to 1024 forms, keyed by p and h scaled so its largest
+    monomial has coefficient 1: h and its scalar multiples share one entry,
+    and no code with the oracle's `_family`, so the routes stay independent.
     """
     flag, n = is_homogeneous(h)
     if not flag:
@@ -655,14 +660,23 @@ def proper_power_form(h: BiPoly) -> PowerForm:
         raise ZeroPolynomial("need degree >= 1")
     if n >= h.p:
         raise DegreeVsCharacteristic(f"degree {n} >= characteristic {h.p}")
-    p, top = h.p, h.deg_x
+    p = h.p
+    s = pow(h.coeffs[max(h.coeffs)], -1, p)
+    return _power_form(p, n, frozenset((k, c * s % p) for k, c in h.coeffs.items()))
+
+
+@lru_cache(maxsize=1024)  # forms; an entry is a few hundred bytes
+def _power_form(p: int, n: int, terms: frozenset) -> PowerForm:
+    """`proper_power_form` of the n-form over F_p whose terms ((i, j), c)
+    are `terms`, scaled so that its largest monomial x^top y^(n-top) has
+    coefficient 1; h(t, 1) is then monic."""
+    top = max(terms)[0][0]
     m = n - top  # the multiplicity of y
     if top and m != 1:
-        # h(t, 1), made monic: each x^i y^(n-i) gives its coefficient to t^i
-        inv = pow(h.coeffs[(top, n - top)], -1, p)
+        # h(t, 1): each x^i y^(n-i) gives its coefficient to t^i
         H = [0] * (top + 1)
-        for (i, _), c in h.coeffs.items():
-            H[i] = c * inv % p
+        for (i, _), c in terms:
+            H[i] = c
         for _, k in _yun_dense(H, p):
             m = gcd(m, k)
             if m == 1:
@@ -699,6 +713,7 @@ def abs_irreducible_shift(h: BiPoly, alpha: int, *, ext_budget: int = EXT_ELEMEN
 
 DEFAULT_QUAD_CANDIDATES = 2_000_000
 ROOT_CACHE_SIZE = 4096  # distinct slices; an entry is a few hundred bytes
+ANSWERS_PER_FAMILY = 16  # factor_oracle answers a `_Family` keeps; later ones are not kept
 
 
 @lru_cache(maxsize=256)  # up to 4 sizes for each of the 64 cached fields
@@ -816,11 +831,13 @@ class _Family:
     Q(x, 0).  Per field it keeps the common roots of `rows`, the roots of
     `top` and the logged line-check terms, each found on first use; the
     `_line_terms` themselves are built at most once.  A field is keyed by
-    its degree d, since the codes of F_{p^d} depend on p and d alone.  It
-    holds ints and tuples only, never an `ExtField`.
+    its degree d, since the codes of F_{p^d} depend on p and d alone.
+    `answers` keeps up to ANSWERS_PER_FAMILY of `factor_oracle`'s answers,
+    keyed by (scaled constant term, d_max, ext_budget): one per level, for
+    every unit multiple.  It holds ints, tuples and bools, never an `ExtField`.
     """
 
-    __slots__ = ("p", "n", "terms", "rows", "top", "axes", "_lines", "_common", "_tops", "_logged")
+    __slots__ = ("p", "n", "terms", "rows", "top", "axes", "answers", "_lines", "_common", "_tops", "_logged")
 
     def __init__(self, p: int, n: int, terms: frozenset):
         rows: dict[int, dict[int, int]] = {}
@@ -839,6 +856,7 @@ class _Family:
         self.rows = sorted((_slice(row) for row in rows.values()), key=lambda sl: sl[1] is None)
         self.top = _slice(top)
         self.axes = tuple(tuple(_trim(axis)[1:]) for axis in axes)
+        self.answers: dict[tuple[int, int, int], bool] = {}
         self._lines: Optional[list] = None
         self._common: dict[int, frozenset[int]] = {}
         self._tops: dict[int, tuple[int, ...]] = {}
@@ -899,17 +917,15 @@ def _scaled_family(p: int, n: int, terms: frozenset) -> _Family:
     return _Family(p, n, terms)
 
 
-def _line_setup(Q: BiPoly) -> tuple[_Family, _Slice, _Slice]:
+def _line_setup(Q: BiPoly) -> tuple[_Family, int]:
     """What the linear search needs of Q in any field: the `_Family` that
     `_family` gives Q, shared by every shift and scalar multiple of Q, and
-    the two slices that hold the constant term, Q(0, y) (the x^0 row) and
-    Q(x, 0), scaled like that `_Family`, as `_slice`s.  Neither may be
-    zero: the caller settles x | Q and y | Q."""
+    Q's constant term scaled like that `_Family`.  Q(0, y) and Q(x, 0) may
+    not be zero: the caller settles x | Q and y | Q."""
     terms = dict(Q.coeffs)
     c0 = terms.pop((0, 0), 0)
     family, s = _family(Q.p, Q.total_degree, frozenset(terms.items()))
-    c0 = c0 * s % Q.p
-    return family, family.axis(0, c0), family.axis(1, c0)
+    return family, c0 * s % Q.p
 
 
 def _linear_search(lines, F: ExtField) -> bool:
@@ -931,11 +947,13 @@ def _linear_search(lines, F: ExtField) -> bool:
       the Zech table, and the pair is a divisor when every coefficient
       vanishes.
 
-    Only the x^0 row and Q(x, 0) hold the constant term; every other root
-    set and the logged terms come from Q's `_Family`, found once per field
-    for all shifts of Q.  `factor_oracle` runs this once per field.
+    Only the x^0 row and Q(x, 0) hold the constant term, so only they are
+    built here; every other root set and the logged terms come from Q's
+    `_Family`, found once per field for all shifts of Q.  `_search` runs this
+    once per field.
     """
-    family, y_axis, x_axis = lines
+    family, c0 = lines
+    y_axis, x_axis = family.axis(0, c0), family.axis(1, c0)
     if family.rows:  # the x^0 row must share a root with the others
         common = family.common(F)
         if common and not common.isdisjoint(_roots(F, y_axis)):
@@ -1014,6 +1032,21 @@ def _quadratic_factor_exists(Q: BiPoly, F: ExtField) -> bool:
     return False
 
 
+def _search(Q: BiPoly, lines: tuple[_Family, int], d_max: int, ext_budget: int) -> bool:
+    """`factor_oracle`'s search of Q, given its `_line_setup`."""
+    p = Q.p
+    for d in range(1, d_max + 1):
+        if 2 * d <= d_max and p ** (2 * d) <= ext_budget:
+            continue  # F_{p^d} lies in F_{p^(2d)}
+        if _linear_search(lines, ext_field(p, d, ext_budget)):
+            return True
+    if Q.total_degree == 4:
+        for d in range(1, min(2, d_max) + 1):
+            if _quadratic_factor_exists(Q, ext_field(p, d, ext_budget)):
+                return True
+    return False
+
+
 def factor_oracle(Q: BiPoly, d_max: int, *, ext_budget: int = EXT_ELEMENT_BUDGET) -> bool:
     """Brute-force reducibility over extensions: True iff some polynomial of
     total degree in [1, deg Q - 1] with coefficients in F_{p^d}, d <= d_max,
@@ -1029,15 +1062,22 @@ def factor_oracle(Q: BiPoly, d_max: int, *, ext_budget: int = EXT_ELEMENT_BUDGET
     Degree-2 candidates (needed only when deg Q = 4) are searched over
     d <= 2, which is enough: a quartic with any in-range factor always has a
     witness that is either linear or a quadratic over F_p or F_{p^2}.  Total
-    degree of Q must be <= 4.
+    degree of Q must be <= 4, and d_max at most EXT_MAX_DEGREE.
+
+    After the x | Q and y | Q checks the answer is looked up in Q's
+    `_Family` by Q's scaled constant term, d_max and ext_budget, so the
+    search runs once for Q and its unit multiples s*Q, which have the same
+    divisors.  It never stands in for another level or a rescaled (x, y),
+    and shares nothing with the criterion's cache, so the two routes stay
+    independent.  At most ANSWERS_PER_FAMILY are kept; errors never are.
     """
     if Q.is_zero():
         raise ZeroPolynomial("the zero polynomial is not a valid input")
     n = Q.total_degree
     if n > 4:
         raise ValueError(f"factor oracle supports total degree <= 4, got {n}")
-    if d_max < 1:
-        raise ValueError("d_max must be >= 1")
+    if not 1 <= d_max <= EXT_MAX_DEGREE:  # up front, so validity never depends on the answer
+        raise ValueError(f"extension degree must be in [1, {EXT_MAX_DEGREE}], got {d_max}")
     if n <= 1:
         return False
     # divisibility by the axes themselves, which a constant term rules out
@@ -1046,19 +1086,14 @@ def factor_oracle(Q: BiPoly, d_max: int, *, ext_budget: int = EXT_ELEMENT_BUDGET
             return True  # y | Q
         if all(i >= 1 for i, _ in Q.coeffs):
             return True  # x | Q
-    p, lines = Q.p, _line_setup(Q)
-    nested = min(d_max, EXT_MAX_DEGREE)
-    for d in range(1, d_max + 1):
-        if 2 * d <= nested and p ** (2 * d) <= ext_budget:
-            continue  # F_{p^d} lies in F_{p^(2d)}
-        if _linear_search(lines, ext_field(p, d, ext_budget)):
-            return True
-    if n == 4:
-        for d in range(1, min(2, d_max) + 1):
-            F = ext_field(Q.p, d, ext_budget)
-            if _quadratic_factor_exists(Q, F):
-                return True
-    return False
+    family, c0 = lines = _line_setup(Q)
+    key = (c0, d_max, ext_budget)
+    found = family.answers.get(key)
+    if found is None:
+        found = _search(Q, lines, d_max, ext_budget)
+        if len(family.answers) < ANSWERS_PER_FAMILY:
+            family.answers[key] = found
+    return found
 
 
 # ----------------------------------------------------------------------

@@ -70,6 +70,7 @@ from .subgroup import Subgroup, coset_of, in_admitted_window, subgroup_of_order
 SCHEMA_VERSION = 1
 # the widest `primes: {start, stop}` range, stop - start, a config may give
 MAX_PRIME_SPAN = 10**5
+MAX_DRAWS = 10**4  # the most units a kind's `draws` param may give per subgroup and poly
 CSV_COLUMNS = (
     "schema",
     "kind",
@@ -207,6 +208,8 @@ class SweepConfig:
                 raise ConfigError(f"params.{name}: need a number, got {value!r}")
             if rule == "count" and not (_is_int(value) and value >= 1):
                 raise ConfigError(f"params.{name}: need a positive integer, got {value!r}")
+            if name == entry["draws"] and value > MAX_DRAWS:
+                raise ConfigError(f"params.{name}: need at most {MAX_DRAWS}, got {value!r}")
             if rule == "fraction" and not 0 < value < 1:
                 raise ConfigError(f"params.{name}: need a number in (0, 1), got {value!r}")
         if bool(polys_raw) != bool(entry["polys"]):  # after params, so their errors come first
@@ -346,7 +349,7 @@ def _probe_units(
 
 
 def _kind(run, units=lambda cfg, p, d, poly: ({},), detail=lambda inst: "",
-          fan=("", ""), share=lambda unit: ("",), params={}, polys="", min_order=1,
+          fan=("", ""), share=lambda unit: ("",), params={}, draws="", polys="", min_order=1,
           prime_bits=64, command="verify", name="", flags=()) -> dict:
     """One entry of `_KINDS`: its arguments by name.
 
@@ -358,10 +361,12 @@ def _kind(run, units=lambda cfg, p, d, poly: ({},), detail=lambda inst: "",
     the default names none, so a unit is one record with the value "".
     share(unit) has per record what its line depends on apart from that.  params maps each
     param to its rule ("count": a positive integer, "fraction": in (0, 1))
-    and default.  polys: "needed" if a config must list one, "required" if
-    each must also be nonzero with no single-variable factor mod every
-    prime.  `sumprod <command> <name or kind>` checks one instance with the
-    options in flags, in this order.
+    and default; draws names the count param that sets the units drawn per
+    subgroup and poly, at most MAX_DRAWS (other counts are clipped by |G|).
+    polys: "needed" if a config must list one, "required" if each must also
+    be nonzero with no single-variable factor mod every prime.  `sumprod
+    <command> <name or kind>` checks one instance with the options in flags,
+    in this order.
     """
     return locals()
 
@@ -380,7 +385,7 @@ _KINDS = {
             max_pairs=inst["max_pairs"], ext_budget=inst["ext_elements"],
         ),
         detail=lambda inst: "alphas=" + _ints(inst["alphas"]),
-        params={"alpha_count": ("count", 1), "alpha_sets": ("count", 1)},
+        params={"alpha_count": ("count", 1), "alpha_sets": ("count", 1)}, draws="alpha_sets",
         polys="needed", flags=("poly", "alphas"),
     ),
     "gv": _kind(
@@ -401,7 +406,7 @@ _KINDS = {
             G, max_pairs=inst["max_pairs"],
         ),
         detail=lambda inst: "cosets=" + _ints(inst["coset_reps"]),
-        params={"pair_count": ("count", 1)}, flags=("fs", "cosets"),
+        params={"pair_count": ("count", 1)}, draws="pair_count", flags=("fs", "cosets"),
     ),
     "growth": _kind(
         run=lambda inst, G, P: probe_growth(G, max_pairs=inst["max_pairs"]),
@@ -417,7 +422,7 @@ _KINDS = {
         params={
             "set_size": ("count", 4), "trials": ("count", 1),
             "delta": ("fraction", 0.5), "epsilon": ("fraction", 0.25),
-        },
+        }, draws="trials",
         polys="required", min_order=2, command="probe", name="factorization",
         flags=("poly", "A", "B", "delta", "epsilon"),
     ),

@@ -533,6 +533,18 @@ def test_linear_factor_search_with_zero_parts_matches_reference(p):
             assert _linear_search(_line_setup(Q), F) == _ref_linear_factor_exists(Q, F), (Q, d)
 
 
+def _searched_afresh(monkeypatch, run):
+    """run() with the shift families, and with them the oracle's stored
+    answers, cleared first, so the oracle searches again; asserts it did."""
+    poly._family.cache_clear()
+    poly._scaled_family.cache_clear()
+    searched, real_search = [], poly._linear_search
+    monkeypatch.setattr(poly, "_linear_search", lambda lines, F: searched.append(F) or real_search(lines, F))
+    out = run()
+    assert searched
+    return out
+
+
 def test_factor_oracle_calls_none_of_the_criterion_helpers(monkeypatch):
     # cubics over F_{p^d}, d <= 3, and quartics at p <= 5 with d_max 1,
     # which keeps the quadratic search over F_p
@@ -545,7 +557,7 @@ def test_factor_oracle_calls_none_of_the_criterion_helpers(monkeypatch):
 
     for name in ("squarefree_decomposition", "uni_gcd", "proper_power_form"):
         monkeypatch.setattr(poly, name, forbidden)
-    assert [factor_oracle(Q, d_max) for Q, d_max in calls] == expected
+    assert _searched_afresh(monkeypatch, lambda: [factor_oracle(Q, d_max) for Q, d_max in calls]) == expected
 
 
 def test_factor_oracle_calls_none_of_the_list_kernels(monkeypatch):
@@ -559,7 +571,7 @@ def test_factor_oracle_calls_none_of_the_list_kernels(monkeypatch):
     for name in ("_divmod_dense", "_gcd_dense", "_derivative_dense", "_difference_dense",
                  "_yun_dense"):
         monkeypatch.setattr(poly, name, forbidden)
-    assert [factor_oracle(Q, 3) for Q in calls] == expected
+    assert _searched_afresh(monkeypatch, lambda: [factor_oracle(Q, 3) for Q in calls]) == expected
 
 
 def _reference_survivors(Q, F, roots_of):
@@ -744,6 +756,116 @@ def test_family_cache_is_keyed_by_value_and_holds_no_field():
     field._ext_field_cached.cache_clear()
     gc.collect()
     assert not any(_reaches(f, ExtField) for f in families)
+
+
+_POLY_CACHES = ("_frobenius_orbits", "_slice_roots", "_family", "_scaled_family", "_power_form")
+
+
+def _clear_poly_caches():
+    for name in _POLY_CACHES:
+        getattr(poly, name).cache_clear()
+
+
+def _census_forms():
+    """Every nonzero form of degree 1-3 over F_5 and 1-2 over F_7."""
+    for p, degrees in ((5, (1, 2, 3)), (7, (1, 2))):
+        for n in degrees:
+            for vec in itertools.product(range(p), repeat=n + 1):
+                if any(vec):
+                    yield BiPoly(p, {(n - j, j): c for j, c in enumerate(vec)})
+
+
+def test_stored_answers_are_the_answers_of_a_fresh_search(monkeypatch):
+    # every census form at every nonzero level, d_max 3: the oracle searches
+    # once per form of degree >= 2 up to a unit (a linear Q - alpha is
+    # answered before any search), the criterion runs once per form up to a
+    # unit, and every answer equals the one found with every poly cache
+    # cleared before the call
+    forms = list(_census_forms())
+    searches, real_search = [], poly._search
+    monkeypatch.setattr(poly, "_search", lambda *args: searches.append(args) or real_search(*args))
+    _clear_poly_caches()
+    oracle = {(h, alpha): factor_oracle(h.shift_const(alpha), 3) for h in forms for alpha in range(1, h.p)}
+    criterion = {h: proper_power_form(h) for h in forms}
+    # c*(h - alpha) = c*h - c*alpha: p - 1 of the (h, alpha) are one Q up to a unit
+    assert len(oracle) == 5428 and len(searches) == sum(h.total_degree >= 2 for h in forms) == 1090
+    # forms up to a unit: the 772 over F_5 in fours, the 390 over F_7 in sixes
+    assert poly._power_form.cache_info().misses == 772 // 4 + 390 // 6 == 258
+    for (h, alpha), found in oracle.items():
+        _clear_poly_caches()
+        assert factor_oracle(h.shift_const(alpha), 3) is found, (h, alpha)
+    for h, form in criterion.items():
+        _clear_poly_caches()
+        assert proper_power_form(h) == form, h
+
+
+def test_a_unit_multiple_reads_the_stored_answer(monkeypatch):
+    p = 7
+    x, y = BiPoly.variable("x", p), BiPoly.variable("y", p)
+    Q = (x + y) * (x + y) - BiPoly.const(p, 2)  # (x + y - 3)(x + y + 3)
+    searches, real_search = [], poly._search
+    monkeypatch.setattr(poly, "_search", lambda *args: searches.append(args) or real_search(*args))
+    _clear_poly_caches()
+    assert factor_oracle(Q, 3) is True and len(searches) == 1
+    assert all(factor_oracle(Q.scale(c), 3) is True for c in range(2, p)) and len(searches) == 1
+    # another level, d_max or budget is a search of its own
+    factor_oracle(Q.shift_const(1), 3)
+    factor_oracle(Q, 2)
+    factor_oracle(Q, 3, ext_budget=p ** 3)
+    assert len(searches) == 4
+
+
+def test_errors_are_never_stored():
+    # F_9 is over the budget of 5 elements, and x^2 + y^2 + 1 has no line
+    # over F_3, so each call searches F_3 and then raises
+    x, y = BiPoly.variable("x", 3), BiPoly.variable("y", 3)
+    Q = x * x + y * y + BiPoly.const(3, 1)
+    _clear_poly_caches()
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):
+            factor_oracle(Q, 2, ext_budget=5)
+    assert factor_oracle(Q, 1, ext_budget=5) is False
+    assert _line_setup(Q)[0].answers == {(1, 1, 5): False}
+    bad = [(parse_bipoly("x^2+y", P13), NotHomogeneous), (BiPoly.const(13, 4), ZeroPolynomial),
+           (parse_bipoly("(x+y)^5", P5), DegreeVsCharacteristic)]
+    for h, error in bad * 2:
+        with pytest.raises(error):
+            proper_power_form(h)
+    assert poly._power_form.cache_info().currsize == 0
+
+
+def test_factor_oracle_rejects_d_max_out_of_range_before_searching(monkeypatch):
+    # d_max 7 at p = 3 used to return True for a product of lines, found
+    # over F_3, and raise only for an irreducible Q, after searching F_81,
+    # F_243 and F_729
+    monkeypatch.setattr(poly, "_search", lambda *args: pytest.fail("searched"))
+    for text in ("(x+y+1)*(x-y+1)", "x^2+y^2+1"):
+        for d_max in (0, 7):
+            with pytest.raises(ValueError, match=rf"^extension degree must be in \[1, 6\], got {d_max}$"):
+                factor_oracle(parse_bipoly(text, P3), d_max)
+
+
+def test_classification_caches_are_bounded_and_hold_no_field():
+    # one family keeps ANSWERS_PER_FAMILY answers however many levels are
+    # searched, and the criterion keeps at most 1024 forms: the 1 331 cubic
+    # forms over F_11 whose x^3 coefficient is 1 overflow it
+    p = 37
+    x, y = BiPoly.variable("x", p), BiPoly.variable("y", p)
+    h = x * x + y * y
+    _clear_poly_caches()
+    for d_max in (1, 2):
+        for alpha in range(1, p):
+            factor_oracle(h.shift_const(alpha), d_max)
+    family = _line_setup(h.shift_const(1))[0]
+    assert len(family.answers) == poly.ANSWERS_PER_FAMILY == 16
+    for vec in itertools.product(range(11), repeat=3):
+        proper_power_form(BiPoly(11, {(3, 0): 1, **{(2 - j, j + 1): c for j, c in enumerate(vec)}}))
+    info = poly._power_form.cache_info()
+    assert info.misses == 11 ** 3 and info.currsize == info.maxsize == 1024
+    field._ext_field_cached.cache_clear()
+    gc.collect()
+    assert not _reaches(family, ExtField)
+    assert not any(_reaches(proper_power_form(h.scale(c)), ExtField) for c in range(1, p))
 
 
 def _roots_by_evaluation(coeffs, F):

@@ -167,6 +167,31 @@ def test_cli_configs_with_nothing_to_sweep_exit_1_fast(tmp_path, capsys, doc, wa
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"inequality": "thmap", "primes": [97], "orders": [16], "params": {"pair_count": 10**8}},
+        {"inequality": "vm", "primes": [13], "polys": ["x+y"], "params": {"alpha_sets": 10**9}},
+        {"inequality": "probe", "primes": [13], "polys": ["x+y"], "params": {"trials": 10**4 + 1}},
+    ],
+)
+def test_cli_rejects_draw_counts_past_the_cap(tmp_path, capsys, doc):
+    # pair_count 10**8 used to load and then die in a bare MemoryError; the
+    # cap is at least 100 times what any sample, test or benchmark draws
+    (name, value), = doc["params"].items()
+    assert sweep.MAX_DRAWS >= 100 * 25
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "out.jsonl"
+    t0 = time.monotonic()
+    rc = main(["sweep", "--config", str(cfg_path), "--out", str(out_path)])
+    assert rc == 1 and time.monotonic() - t0 < 1
+    assert f"params.{name}: need at most {sweep.MAX_DRAWS}, got {value}" in capsys.readouterr().err
+    assert not out_path.exists()
+    doc["params"][name] = sweep.MAX_DRAWS
+    assert SweepConfig.from_json(doc).params[name] == sweep.MAX_DRAWS
+
+
 def test_listed_orders_load_when_one_divides_some_p_minus_1():
     doc = {"inequality": "growth", "primes": [13, 101], "orders": [1, 7, 25]}
     cfg = SweepConfig.from_json(doc)  # 25 | 100
