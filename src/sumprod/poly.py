@@ -1135,17 +1135,19 @@ class PermissibleCheck:
         return self.ok
 
 
-def _radical(f: UniPoly) -> UniPoly:
-    """Product of the distinct monic irreducible factors of f (deg f < p)."""
-    d = f.degree
+def _radical(f: UniPoly) -> list[int]:
+    """The coefficients of the product of the distinct monic irreducible
+    factors of f (deg f < p)."""
+    d, p = f.degree, f.p
     if d < 1:
         raise ZeroPolynomial("need a nonconstant polynomial")
-    if d >= f.p:
-        raise DegreeVsCharacteristic(f"degree {d} >= characteristic {f.p}")
+    if d >= p:
+        raise DegreeVsCharacteristic(f"degree {d} >= characteristic {p}")
+    inv = pow(f.lead(), -1, p)
+    a = [c * inv % p for c in f.coeffs]
     if d == 1:  # a linear f is its own radical
-        return f.monic()
-    df = f.derivative()
-    return (f // uni_gcd(f, df)).monic()
+        return a
+    return _divmod_dense(a, _gcd_dense(a, _derivative_dense(a, p), p), p)[0]
 
 
 def is_permissible(fs: list[UniPoly]) -> PermissibleCheck:
@@ -1160,10 +1162,10 @@ def is_permissible(fs: list[UniPoly]) -> PermissibleCheck:
         if f.is_zero():
             raise ZeroPolynomial("zero polynomial in the family")
     failures: list[tuple[int, str]] = []
-    radicals: list[Optional[UniPoly]] = []
+    radicals: list[Optional[list[int]]] = []
     for idx, f in enumerate(fs):
         radicals.append(_radical(f) if f.degree >= 1 else None)
-        if f(0) == 0:
+        if not f.coeffs[0]:
             failures.append((idx, "zero-constant-term"))
         elif f.degree < 1:
             failures.append((idx, "constant"))
@@ -1176,12 +1178,12 @@ def is_permissible(fs: list[UniPoly]) -> PermissibleCheck:
         for jdx, v in enumerate(radicals):
             if jdx == idx or v is None:
                 continue
-            g = uni_gcd(own, v)
-            if g.degree >= 1:
-                own = own // g
-            if own.degree == 0:
+            g = _gcd_dense(own, v, p)
+            if len(g) > 1:
+                own = _divmod_dense(own, g, p)[0]
+            if len(own) == 1:
                 break
-        if own.degree < 1:
+        if len(own) < 2:
             failures.append((idx, "no-private-root"))
     failures.sort()
     return PermissibleCheck(not failures, tuple(failures))

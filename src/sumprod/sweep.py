@@ -21,7 +21,7 @@ count.  Randomness is drawn from a fresh generator seeded per instance
 (never from a shared stream), and the units are sorted into report order,
 by (p, order, poly) with ties in generation order, before fan-out.  The
 sorted units are cut into contiguous blocks of equally many records,
-splitting a fan field where a block ends; each block runs in one
+splitting a fan field where a block ends; each block runs in one forked
 worker, at most one per block or per CPU this process may run on, and the
 parent consumes the blocks in order, so a report streams out block by
 block and the parent never holds every record.  A worker sends back only
@@ -553,8 +553,8 @@ def _fill(rec: dict, r) -> dict:
 
 
 def run_instance(inst: dict) -> dict:
-    """Verify one instance and return its flat record (top-level so process
-    pools can pickle it).  Budget overruns become per-record errors."""
+    """Verify one instance and return its flat record.  Budget overruns
+    become per-record errors."""
     return _fill(_base_record(inst), _outcome(inst))
 
 
@@ -600,6 +600,52 @@ def _run_block(fmt: str, units: list[dict]) -> list[tuple[list, array]]:
     return [_shared(unit, fmt) for unit in units]
 
 
+def _forked(fmt: str, blocks: list[list[dict]], workers: int) -> Iterator:
+    """_run_block(fmt, block) for each block in order, from `workers` forked
+    children: child w pickles the result, or the exception, of each block in
+    blocks[w::workers] into its own pipe.  A pipe that ends early is a
+    WorkbenchError.  Ending or closing this generator kills and reaps every
+    child."""
+    import pickle  # imported here: a serial sweep never pays for it
+    import signal
+
+    children: list = []  # (pid, read end of its pipe), child w at index w
+    try:
+        for w in range(workers):
+            r, wr = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child leaves by os._exit, flushing none of the parent's buffers
+                try:
+                    os.close(r)
+                    for _, pipe in children:
+                        pipe.close()
+                    out = open(wr, "wb")
+                    for block in blocks[w::workers]:
+                        try:
+                            out.write(pickle.dumps((True, _run_block(fmt, block))))
+                        except Exception as e:
+                            out.write(pickle.dumps((False, e)))
+                        out.flush()
+                finally:
+                    os._exit(0)
+            os.close(wr)
+            children.append((pid, open(r, "rb")))
+        for i in range(len(blocks)):
+            try:
+                ok, value = pickle.load(children[i % workers][1])
+            except (EOFError, pickle.UnpicklingError):
+                raise WorkbenchError("a sweep worker died before its blocks were done") from None
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 @contextlib.contextmanager
 def _block_results(fmt: str, cfg: SweepConfig, jobs: int | None) -> Iterator[Iterator]:
     """(unit, _shared(unit, fmt)) for every sorted work unit, in report order.
@@ -608,11 +654,9 @@ def _block_results(fmt: str, cfg: SweepConfig, jobs: int | None) -> Iterator[Ite
     fails before the caller opens any output.  They run in contiguous blocks
     that all hold the same number of records but the last, so a sweep
     balances as if each record were its own unit, and no result carries a
-    unit's fills back.  The pool starts no more workers than there are
-    blocks or CPUs this process may run on, and each worker gets about eight
-    blocks; with one worker the blocks run in this process.  A worker that
-    dies is a WorkbenchError.  Leaving the context early cancels the blocks
-    not yet started.
+    unit's fills back.  No more workers are forked than there are blocks or
+    CPUs this process may run on, and each gets about eight blocks; with one
+    worker, or where os.fork is missing, the blocks run in this process.
     """
     if jobs is not None and not (_is_int(jobs) and jobs >= 1):
         raise ConfigError(f"jobs: need a positive integer, got {jobs!r}")
@@ -625,22 +669,10 @@ def _block_results(fmt: str, cfg: SweepConfig, jobs: int | None) -> Iterator[Ite
     size = max(1, sum(len(_fills(u)) for u in units) // (workers * 8))
     blocks = _blocks(units, size)
     workers = min(workers, len(blocks))
-    fn = functools.partial(_run_block, fmt)
-    if workers <= 1:
-        yield (pair for block in blocks for pair in zip(block, fn(block)))
-        return
-    # imported here: a serial sweep never pays for the pool machinery
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = pool.map(fn, blocks)
-        try:
-            yield (pair for block, shared in zip(blocks, results) for pair in zip(block, shared))
-        except BrokenProcessPool:
-            raise WorkbenchError("a sweep worker died before its blocks were done") from None
-        finally:
-            results.close()
+    forked = workers > 1 and hasattr(os, "fork")
+    results = _forked(fmt, blocks, workers) if forked else (_run_block(fmt, b) for b in blocks)
+    with contextlib.closing(results) as shared:
+        yield (pair for block, lines in zip(blocks, shared) for pair in zip(block, lines))
 
 
 def _split_line(fmt: str, rec: dict) -> tuple[str, str, int]:

@@ -13,6 +13,7 @@ from sumprod.errors import (
     DegreeVsCharacteristic,
     NotHomogeneous,
     ParseError,
+    WorkbenchError,
     ZeroPolynomial,
     ZeroShift,
 )
@@ -1046,6 +1047,79 @@ def test_is_good_needs_only_one_axis():
     # P(0, y) = 0 and P(x, 0) = 0 in turn: one nonzero axis is enough
     for text in ("x^2+x*y", "x*y+y^2"):
         assert is_good(parse_bipoly(text, P13)).ok, text
+
+
+def _is_permissible_on_unipolys(fs):
+    """is_permissible as it was on UniPoly arithmetic, one UniPoly per gcd
+    and quotient: the reference for the routine on coefficient lists."""
+    if not fs:
+        raise ValueError("need at least one polynomial")
+    p = fs[0].p
+    for f in fs:
+        if f.p != p:
+            raise ValueError("mixed moduli")
+        if f.is_zero():
+            raise ZeroPolynomial("zero polynomial in the family")
+
+    def radical(f):
+        if f.degree >= f.p:
+            raise DegreeVsCharacteristic(f"degree {f.degree} >= characteristic {f.p}")
+        return f.monic() if f.degree == 1 else (f // uni_gcd(f, f.derivative())).monic()
+
+    failures = []
+    radicals = []
+    for idx, f in enumerate(fs):
+        radicals.append(radical(f) if f.degree >= 1 else None)
+        if f(0) == 0:
+            failures.append((idx, "zero-constant-term"))
+        elif f.degree < 1:
+            failures.append((idx, "constant"))
+    for idx, u in enumerate(radicals):
+        if u is None or any(i == idx for i, _ in failures):
+            continue
+        own = u
+        for jdx, v in enumerate(radicals):
+            if jdx == idx or v is None:
+                continue
+            g = uni_gcd(own, v)
+            if g.degree >= 1:
+                own = own // g
+            if own.degree == 0:
+                break
+        if own.degree < 1:
+            failures.append((idx, "no-private-root"))
+    return not failures, tuple(sorted(failures))
+
+
+def test_is_permissible_matches_the_unipoly_routine():
+    # random families at p <= 13: random coefficients, or products of
+    # linear factors so that roots repeat and members share them; degrees
+    # up to 5 reach p at p = 3 and 5, so errors are compared too
+    rng = random.Random(20260)
+
+    def member(p):
+        if rng.random() < 0.5:
+            return UniPoly(p, [rng.randrange(p) for _ in range(rng.randint(1, 6))])
+        f = UniPoly(p, [rng.randrange(1, p)])
+        for _ in range(rng.randint(1, 4)):
+            f = f * UniPoly(p, [rng.randrange(p), 1])
+        return f
+
+    def outcome(check, fs):
+        try:
+            r = check(fs)
+        except WorkbenchError as e:
+            return type(e), str(e)
+        return r if isinstance(r, tuple) else (r.ok, r.failures)
+
+    errors = 0
+    for _ in range(3000):
+        p = rng.choice([3, 5, 7, 11, 13])
+        fs = [member(p) for _ in range(rng.randint(1, 4))]
+        want = outcome(_is_permissible_on_unipolys, fs)
+        assert outcome(is_permissible, fs) == want, (p, fs)
+        errors += isinstance(want[0], type)
+    assert 0 < errors < 3000
 
 
 def test_is_permissible_examples():

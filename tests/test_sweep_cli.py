@@ -1,10 +1,12 @@
 import csv
 import glob
+import hashlib
 import io
 import json
 import os
 import pickle
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -36,6 +38,9 @@ from sumprod.sweep import (
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 CONFIG_DIR = os.path.join(ROOT, "scripts", "configs")
 SCRIPT_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+# the SHA-256 of each sample config's report, by config file and format
+with open(os.path.join(os.path.dirname(__file__), "report_digests.json"), encoding="utf-8") as _fh:
+    REPORT_DIGESTS = json.load(_fh)
 
 
 def gv_config(**over):
@@ -234,6 +239,22 @@ def test_sample_configs_load():
     assert len(paths) == 4
     for path in paths:
         SweepConfig.from_file(path)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sample_reports_keep_their_digests(tmp_path, monkeypatch, jobs):
+    # the byte contract: every sample config's report, in each format, is
+    # the one whose digest report_digests.json records
+    _two_cpus(monkeypatch)
+    names = sorted(os.path.basename(path) for path in glob.glob(os.path.join(CONFIG_DIR, "*.json")))
+    assert sorted(REPORT_DIGESTS) == names
+    for name in names:
+        for fmt in ("jsonl", "csv"):
+            out = tmp_path / f"{name}.{fmt}"
+            rc = main(["sweep", "--config", os.path.join(CONFIG_DIR, name), "--format", fmt,
+                       "--jobs", str(jobs), "--out", str(out)])
+            assert rc == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_DIGESTS[name][fmt], (name, fmt)
 
 
 def test_config_admitted_order_filter():
@@ -859,18 +880,24 @@ def _two_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
 
-def _die_at_101(monkeypatch):
-    """Make the forked worker that reaches p = 101 exit at once."""
+def _at_101_in_a_child(monkeypatch, act):
+    """Call act() in the forked worker that reaches p = 101, before it
+    evaluates that instance."""
     _two_cpus(monkeypatch)
     real, parent = sweep.evaluate, os.getpid()
 
-    def die(inst):
+    def at_101(inst):
         if inst["p"] == 101:
             assert os.getpid() != parent, "p = 101 ran in the test process"
-            os._exit(7)
+            act()
         return real(inst)
 
-    monkeypatch.setattr(sweep, "evaluate", die)
+    monkeypatch.setattr(sweep, "evaluate", at_101)
+
+
+def _die_at_101(monkeypatch):
+    """Make the forked worker that reaches p = 101 exit at once."""
+    _at_101_in_a_child(monkeypatch, lambda: os._exit(7))
 
 
 DEAD_WORKER_CONFIG = {"inequality": "gv", "primes": [13, 31, 61, 101], "orders": "all"}
@@ -916,6 +943,83 @@ def test_no_worker_outlives_a_sweep(monkeypatch, end):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_block_error_reaches_the_caller_with_its_type_and_message(monkeypatch):
+    def planted():
+        raise ValueError("planted")
+
+    _at_101_in_a_child(monkeypatch, planted)
+    with pytest.raises(ValueError) as exc:
+        run_sweep(SweepConfig.from_json(DEAD_WORKER_CONFIG), jobs=2)
+    assert type(exc.value) is ValueError and exc.value.args == ("planted",)
+
+
+def test_cli_names_a_worker_killed_by_sigkill(tmp_path, capsys, monkeypatch):
+    _at_101_in_a_child(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(DEAD_WORKER_CONFIG))
+    out_path = tmp_path / "out.jsonl"
+    rc = main(["sweep", "--config", str(cfg_path), "--jobs", "2", "--out", str(out_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: a sweep worker died before its blocks were done\n"
+    assert not out_path.exists()
+
+
+def test_leaving_early_kills_the_workers_still_running(tmp_path, monkeypatch):
+    asleep = tmp_path / "asleep"
+
+    def sleep():
+        asleep.touch()
+        time.sleep(60)
+
+    _at_101_in_a_child(monkeypatch, sleep)
+    with sweep._block_results("jsonl", SweepConfig.from_json(DEAD_WORKER_CONFIG), 2) as results:
+        assert next(results)[0]["p"] == 13
+        deadline = time.monotonic() + 30
+        while not asleep.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert asleep.exists()
+        start = time.monotonic()
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# two workers whatever this machine has; stdout holds unflushed text when they fork
+_STDOUT_PROBE = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+import sumprod.cli
+sys.stdout.write("before|")
+sys.exit(sumprod.cli.main(["sweep", "--config", sys.argv[1], "--out", "-", "--jobs", sys.argv[2]]))
+"""
+
+
+def test_cli_report_on_stdout_is_the_same_at_jobs_2():
+    cfg = os.path.join(CONFIG_DIR, "gv_small.json")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # buffer stdout
+    out = [subprocess.run([sys.executable, "-c", _STDOUT_PROBE, cfg, jobs], env=env,
+                          capture_output=True, check=True).stdout for jobs in ("1", "2")]
+    assert out[1] == out[0]
+    assert out[0].count(b"before|") == 1 and len(out[0].splitlines()) == 3260
+
+
+_MODULES_PROBE = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+import sumprod.cli
+assert sumprod.cli.main(["sweep", "--config", sys.argv[1], "--out", sys.argv[2], "--jobs", "2"]) == 0
+print(sorted({"concurrent.futures", "multiprocessing"} & set(sys.modules)), "pickle" in sys.modules)
+"""
+
+
+def test_parallel_sweep_leaves_the_pool_modules_out(tmp_path):
+    # pickle is loaded by the parallel branch only, so True shows it ran
+    cfg = os.path.join(CONFIG_DIR, "gv_small.json")
+    run = subprocess.run([sys.executable, "-c", _MODULES_PROBE, cfg, str(tmp_path / "out.jsonl")],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["[]", "True"]
+
+
 def test_probe_config_rejects_single_variable_factor_at_every_prime():
     def load(primes, polys):
         return SweepConfig.from_json({"inequality": "probe", "primes": primes, "polys": polys})
@@ -943,25 +1047,6 @@ def test_admitted_orders_use_the_subgroup_window():
     assert [inst["order"] for inst in generate_instances(cfg)] == want
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in
-    this process, so no worker is ever started."""
-
-    started: list = []
-
-    def __init__(self, max_workers):
-        self.started.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, blocks):
-        return (fn(block) for block in blocks)
-
-
 @pytest.mark.parametrize(
     "cpus, config, workers",
     [
@@ -969,17 +1054,21 @@ class _RecordingPool:
         (3, gv_config(primes=[5, 7]), [3]),
         (None, gv_config(primes=[5, 7]), []),  # unknown CPU count: run serially
         (64, SweepConfig.from_json({"inequality": "growth", "primes": [5], "orders": [2]}), []),
-        (1, gv_config(primes=[5, 7]), []),  # one usable CPU: no pool
+        (1, gv_config(primes=[5, 7]), []),  # one usable CPU: no fork
     ],
 )
 def test_pool_starts_no_more_workers_than_blocks_or_cpus(monkeypatch, cpus, config, workers):
     # cpus is the size of this process's CPU affinity set on a machine of
     # 128 CPUs; None is a platform without sched_getaffinity whose CPU count
-    # is unknown
-    import concurrent.futures
+    # is unknown.  The stand-in for the fork helper records the worker count
+    # and runs the blocks in this process, so no child is ever started.
+    started = []
 
-    monkeypatch.setattr(_RecordingPool, "started", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    def in_process(fmt, blocks, count):
+        started.append(count)
+        return (sweep._run_block(fmt, block) for block in blocks)
+
+    monkeypatch.setattr(sweep, "_forked", in_process)
     if cpus is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
@@ -987,8 +1076,16 @@ def test_pool_starts_no_more_workers_than_blocks_or_cpus(monkeypatch, cpus, conf
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 128)
     records = run_sweep(config, jobs=5000)
-    assert _RecordingPool.started == workers
+    assert started == workers
     assert records == run_sweep(config, jobs=1)
+
+
+def test_sweep_runs_serially_without_fork(monkeypatch):
+    _two_cpus(monkeypatch)
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(sweep, "_forked", None)  # calling it would fail
+    cfg = gv_config(primes=[5, 7, 13])
+    assert run_sweep(cfg, jobs=2) == [run_instance(i) for i in generate_instances(cfg)]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
